@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	pmware-sim [-participants 16] [-days 14] [-seed 2014] [-http] [-save store.json]
+//	pmware-sim [-participants 16] [-days 14] [-seed 2014] [-http]
 //
 // With -http the entire study runs through a real loopback HTTP cloud
 // instance (registration, GCA offload, profile sync, geolocation) instead of
@@ -36,7 +36,6 @@ func main() {
 	useHTTP := flag.Bool("http", false, "run the cloud instance over loopback HTTP")
 	social := flag.Bool("social", false, "enable Bluetooth social discovery between participants")
 	showMap := flag.Bool("map", false, "render an ASCII map of all discovered places (Figure 5b)")
-	save := flag.String("save", "", "save the cloud store to this JSON file afterwards")
 	flag.Parse()
 
 	cfg := study.DefaultConfig()
@@ -45,12 +44,10 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Social = *social
 
-	var store *cloud.Store
 	if *useHTTP {
 		// Build the same world the study will generate, for the cell DB.
 		w := world.Generate(cfg.World, rand.New(rand.NewSource(cfg.Seed)))
-		store = cloud.NewStore(nil)
-		server := cloud.NewServer(store, cloud.WithCellDatabase(cloud.NewCellDatabase(w, 150)))
+		server := cloud.NewServer(cloud.NewStore(nil), cloud.WithCellDatabase(cloud.NewCellDatabase(w, 150)))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatalf("listen: %v", err)
@@ -84,12 +81,5 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-	if *save != "" && store != nil {
-		if err := store.Save(*save); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\ncloud store saved to %s\n", *save)
 	}
 }

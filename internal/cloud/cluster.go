@@ -32,37 +32,19 @@ func StableUserID(imei, email string) string {
 	return fmt.Sprintf("u%016x", h.Sum64())
 }
 
-// ApplyShipped journals one replicated record verbatim into the named
-// engine and shard (cluster.Applier). Shipped records bypass the write gate:
-// they never enqueue on this node's own stream, and they only touch users
-// owned by the sending primary — disjoint from any export this node cuts.
-// The replay into in-memory state is deferred (storage.AppendShipped):
-// durability is what the ack promises, and materializeReplicas runs before
-// this node serves or exports the replicated users.
-func (s *Store) ApplyShipped(engine uint8, shard int, rec []byte) error {
-	switch engine {
-	case cluster.EngineMain:
-		if shard < 0 || shard >= s.eng.NumShards() {
-			return fmt.Errorf("cloud: shipped record for main shard %d of %d", shard, s.eng.NumShards())
-		}
-		return s.eng.AppendShipped(shard, rec)
-	case cluster.EngineTrace:
-		if shard < 0 || shard >= s.traceEng.NumShards() {
-			return fmt.Errorf("cloud: shipped record for trace shard %d of %d", shard, s.traceEng.NumShards())
-		}
-		return s.traceEng.AppendShipped(shard, rec)
-	}
-	return fmt.Errorf("cloud: shipped record for unknown engine %d", engine)
-}
-
-// ApplyShippedBatch journals a contiguous run of replicated records
-// (cluster.BatchApplier), grouped per engine shard so each shard pays one
+// ApplyShippedBatch journals a contiguous run of replicated records verbatim
+// (cluster.Applier), grouped per engine shard so each shard pays one
 // group-commit wait for the whole run instead of one per record — with a
-// non-zero commit linger the per-record path costs a full linger each,
+// non-zero commit linger a per-record commit costs a full linger each,
 // which stalls the stream and everything queued behind it. Stream order is
 // preserved within each shard, and per-shard WALs are the only place
-// replication order exists, so the journaled bytes are identical to the
-// per-record path's.
+// replication order exists, so how the stream is cut into runs does not
+// change the journaled bytes. Shipped records bypass the write gate: they
+// never enqueue on this node's own stream, and they only touch users owned
+// by the sending primary — disjoint from any export this node cuts. The
+// replay into in-memory state is deferred (storage.AppendShippedBatch):
+// durability is what the ack promises, and materializeReplicas runs before
+// this node serves or exports the replicated users.
 func (s *Store) ApplyShippedBatch(recs []cluster.ShipRecord) error {
 	type dest struct {
 		engine uint8
@@ -114,7 +96,7 @@ func (s *Store) materializeReplicas() error {
 }
 
 // applyImported journals a handed-off record through the full primary
-// mutation path: unlike ApplyShipped it ships onward to this node's own
+// mutation path: unlike ApplyShippedBatch it ships onward to this node's own
 // follower, because an imported user is now this node's to replicate.
 func (s *Store) applyImported(engine uint8, shard int, rec []byte) error {
 	s.gate.RLock()
@@ -218,7 +200,7 @@ func (s *Store) exportUsersLocked(own func(uid string) bool) ([]cluster.ShipReco
 // half of the export-then-drop pair, and only the gate makes the pair
 // atomic against writes (a write landing between the export snapshot and
 // the drop would be acknowledged and then deleted). The drops are journaled
-// but deliberately NOT shipped (ApplyShipped path): this node's follower
+// but deliberately NOT shipped (storage.ApplyShipped): this node's follower
 // may be the very node that just imported the users as their new primary,
 // and a shipped drop would delete its primary copy. The follower's replica
 // copy goes stale instead — harmless, because serving is ring-gated, and
@@ -232,8 +214,8 @@ func (s *Store) dropUsersLocked(uids []string) error {
 				key = deviceKey(u.IMEI, u.Email)
 			}
 		})
-		// Eager (not the deferred AppendShipped path): the dropped users must
-		// vanish from in-memory state before the handoff acks.
+		// Eager (not the deferred AppendShippedBatch path): the dropped
+		// users must vanish from in-memory state before the handoff acks.
 		drop := func(eng uint8, shard int, rec any) error {
 			b, err := json.Marshal(rec)
 			if err != nil {

@@ -238,8 +238,9 @@ func (px *PopularIndex) Places(k int, radiusM float64) []PopularPlace {
 		}
 		all = append(all, c.pts...)
 	})
-	// Drop cache entries for users no longer in the store (legacy Load can
-	// replace the population wholesale).
+	// Drop cache entries for users no longer in the store: a cluster
+	// handoff's drop_user removes users, and without this sweep byUser would
+	// keep their geolocated points forever.
 	for u := range px.byUser {
 		if !seen[u] {
 			delete(px.byUser, u)

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -135,5 +136,47 @@ func TestPopularPlacesViaHTTP(t *testing.T) {
 	}
 	if err := c.authedCall(context.Background(), "GET", PathPlacesPopular, mustQuery("radius", "-5"), nil, nil, true); err == nil {
 		t.Error("negative radius accepted")
+	}
+}
+
+// TestPopularIndexEvictsDroppedUser: after a handoff drops a user, the next
+// query excludes the user's places and evicts their cached points.
+func TestPopularIndexEvictsDroppedUser(t *testing.T) {
+	store, cells, w := popularFixture(t)
+	var uids []string
+	for i := 0; i < 4; i++ {
+		reg, err := store.Register(fmt.Sprintf("imei-%d", i), fmt.Sprintf("u%d@example.com", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.SetPlaces(reg.UserID, []PlaceWire{placeAtTower(w, 10, "mall")}); err != nil {
+			t.Fatal(err)
+		}
+		uids = append(uids, reg.UserID)
+	}
+	px := NewPopularIndex(store, cells)
+	if out := px.Places(3, 400); len(out) != 1 || out[0].Users != 4 {
+		t.Fatalf("before drop: %+v, want one cluster of 4 users", out)
+	}
+	dropped := uids[3]
+	if _, ok := px.byUser[dropped]; !ok {
+		t.Fatal("cold query did not cache the user's points")
+	}
+
+	store.gate.Lock()
+	err := store.dropUsersLocked([]string{dropped})
+	store.gate.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if out := px.Places(3, 400); len(out) != 1 || out[0].Users != 3 {
+		t.Fatalf("after drop: %+v, want one cluster of 3 users", out)
+	}
+	if _, ok := px.byUser[dropped]; ok {
+		t.Error("dropped user's cached points survived the next query")
+	}
+	if len(px.byUser) != 3 {
+		t.Errorf("byUser holds %d users, want 3", len(px.byUser))
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,6 +126,57 @@ func TestStoreShardCountPinnedByManifest(t *testing.T) {
 	}
 	if _, ok := s2.Profile(reg.UserID, "2014-09-01"); !ok {
 		t.Error("profile lost after shard-count change attempt")
+	}
+}
+
+// TestOpenStoreRefusesRetiredLoadRecords: the whole-store JSON import ops
+// (load_meta, load_shard) are gone. A data directory whose WAL still holds
+// one must fail to open with an error naming the op — replaying around it
+// would boot on a state missing the import.
+func TestOpenStoreRefusesRetiredLoadRecords(t *testing.T) {
+	for _, tc := range []struct {
+		shard, op, rec string
+	}{
+		{"shard-000", "load_meta", `{"op":"load_meta","meta":{"users":{},"by_device":{}}}`},
+		{"shard-001", "load_shard", `{"op":"load_shard","data":{"places":{},"routes":{},"profiles":{},"contacts":{}}}`},
+	} {
+		t.Run(tc.shard, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenStore(dir, StoreConfig{Now: fixedNow(simclock.Epoch)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Register("imei-1", "a@b.c"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wals, err := filepath.Glob(filepath.Join(dir, tc.shard, "wal-*.log"))
+			if err != nil || len(wals) != 1 {
+				t.Fatalf("wal files in %s: %v, %v", tc.shard, wals, err)
+			}
+			payload := []byte(tc.rec)
+			frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+			frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+			f, err := os.OpenFile(wals[0], os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(append(frame, payload...)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			s2, err := OpenStore(dir, StoreConfig{Now: fixedNow(simclock.Epoch)})
+			if err == nil {
+				s2.Close()
+				t.Fatal("OpenStore replayed around a retired load record")
+			}
+			if !strings.Contains(err.Error(), tc.op) {
+				t.Errorf("error %q does not name %s", err, tc.op)
+			}
+		})
 	}
 }
 
@@ -397,37 +450,5 @@ func TestStoreReadsAreDeepCopies(t *testing.T) {
 	prof.Places[0].PlaceID = "mutated-after-put"
 	if got, _ := s.Profile(uid, "2014-09-09"); got.Places[0].PlaceID != "p0" {
 		t.Error("PutProfile retained the caller's profile")
-	}
-}
-
-// TestSaveIsAtomic: Save must leave either the old or the new file, never a
-// torn one, and no temp droppings.
-func TestSaveAtomicReplacesPrevious(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.json")
-	s := NewStore(fixedNow(simclock.Epoch))
-	reg, _ := s.Register("imei-1", "a@b.c")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutProfile(reg.UserID, mkProfile(reg.UserID, "2014-09-01")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 || ents[0].Name() != "store.json" {
-		t.Fatalf("save left droppings: %v", ents)
-	}
-	s2 := NewStore(fixedNow(simclock.Epoch))
-	if err := s2.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s2.Profile(reg.UserID, "2014-09-01"); !ok {
-		t.Error("second save not visible after load")
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements the storage engine's off-lock snapshot extensions
-// (storage.SnapshotViewer / storage.StreamRestorer, DESIGN.md §16) for the
-// three shard-state kinds. SnapshotView captures shallow clones of the
+// This file implements the storage engine's snapshot protocol
+// (storage.ShardState's SnapshotView and RestoreStream, DESIGN.md §16) for
+// the three shard-state kinds. SnapshotView captures shallow clones of the
 // top-level maps under the shard write lock — O(keys), no encoding — and the
 // returned encoder streams JSON off the lock, marshaling one user's worth of
 // data at a time, so snapshot encode neither stalls writers nor doubles the
@@ -72,7 +72,7 @@ func writeJSONMap[V any](w io.Writer, m map[string]V) error {
 }
 
 // decodeJSONStream decodes exactly one JSON value from r into v, rejecting
-// trailing data — the same strictness json.Unmarshal gives the []byte path.
+// trailing data — the same strictness json.Unmarshal gives a whole []byte.
 func decodeJSONStream(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {
@@ -216,6 +216,8 @@ func (t *traceState) RestoreStream(r io.Reader) error {
 		return fmt.Errorf("cloud: decode trace snapshot: %w", err)
 	}
 	fresh := newTraceState()
+	// Generations keep growing across the restore so no (user, gen) pair
+	// issued before it can collide with one issued after.
 	fresh.gens = t.gens
 	for id, obs := range snap.Users {
 		fresh.gens++
@@ -225,13 +227,8 @@ func (t *traceState) RestoreStream(r io.Reader) error {
 	return nil
 }
 
-// Interface conformance: all three states implement both off-lock snapshot
-// extensions.
 var (
-	_ storage.SnapshotViewer = (*metaState)(nil)
-	_ storage.StreamRestorer = (*metaState)(nil)
-	_ storage.SnapshotViewer = (*dataState)(nil)
-	_ storage.StreamRestorer = (*dataState)(nil)
-	_ storage.SnapshotViewer = (*traceState)(nil)
-	_ storage.StreamRestorer = (*traceState)(nil)
+	_ storage.ShardState = (*metaState)(nil)
+	_ storage.ShardState = (*dataState)(nil)
+	_ storage.ShardState = (*traceState)(nil)
 )

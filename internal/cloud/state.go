@@ -24,11 +24,9 @@ const (
 	opSetRoutes   = "set_routes"
 	opPutProfile  = "put_profile"
 	opAddContacts = "add_contacts"
-	opLoadMeta    = "load_meta"  // legacy Save-file import: replace meta keyspace
-	opLoadShard   = "load_shard" // legacy Save-file import: replace one data shard
-	opSyncUser    = "sync_user"  // cluster resync/handoff: replace one user's data wholesale
-	opDropUser    = "drop_user"  // cluster handoff: remove one user's data from this node
-	opDropMeta    = "drop_meta"  // cluster handoff: remove one user's registration
+	opSyncUser    = "sync_user" // cluster resync/handoff: replace one user's data wholesale
+	opDropUser    = "drop_user" // cluster handoff: remove one user's data from this node
+	opDropMeta    = "drop_meta" // cluster handoff: remove one user's registration
 )
 
 // walRecord is the journaled form of every Store mutation. One struct for
@@ -48,10 +46,6 @@ type walRecord struct {
 	Routes     []RouteWire         `json:"routes,omitempty"`
 	Profile    *profile.DayProfile `json:"profile,omitempty"`
 	Encounters []profile.Encounter `json:"encounters,omitempty"`
-
-	// load ops
-	Meta *metaSnapshot `json:"meta,omitempty"`
-	Data *dataSnapshot `json:"data,omitempty"`
 
 	// opSyncUser: the user's whole per-day history (Places/Routes/Encounters
 	// above carry the rest of the wholesale state).
@@ -82,16 +76,6 @@ func (m *metaState) apply(rec *walRecord) error {
 		}
 		m.users[rec.User.ID] = rec.User
 		m.byDevice[rec.DeviceKey] = rec.User.ID
-	case opLoadMeta:
-		if rec.Meta == nil {
-			return fmt.Errorf("cloud: load_meta record without payload")
-		}
-		if rec.Meta.Users != nil {
-			m.users = rec.Meta.Users
-		}
-		if rec.Meta.ByDevice != nil {
-			m.byDevice = rec.Meta.ByDevice
-		}
 	case opDropMeta:
 		delete(m.users, rec.UserID)
 		delete(m.byDevice, rec.DeviceKey)
@@ -109,24 +93,10 @@ func (m *metaState) Apply(b []byte) error {
 	return m.apply(&rec)
 }
 
+// Snapshot encodes the whole state in one json.Marshal: the reference the
+// streamed SnapshotView encoder (snapview.go) must match byte for byte.
 func (m *metaState) Snapshot() ([]byte, error) {
 	return json.Marshal(metaSnapshot{Users: m.users, ByDevice: m.byDevice})
-}
-
-func (m *metaState) Restore(b []byte) error {
-	var snap metaSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return fmt.Errorf("cloud: decode meta snapshot: %w", err)
-	}
-	fresh := newMetaState()
-	if snap.Users != nil {
-		fresh.users = snap.Users
-	}
-	if snap.ByDevice != nil {
-		fresh.byDevice = snap.ByDevice
-	}
-	*m = *fresh
-	return nil
 }
 
 // dataState is one data shard: the per-user mobility keyspace for the users
@@ -179,15 +149,6 @@ type dataSnapshot struct {
 	Routes   map[string][]RouteWire                    `json:"routes"`
 	Profiles map[string]map[string]*profile.DayProfile `json:"profiles"`
 	Contacts map[string][]profile.Encounter            `json:"contacts"`
-}
-
-func newDataSnapshot() *dataSnapshot {
-	return &dataSnapshot{
-		Places:   map[string][]PlaceWire{},
-		Routes:   map[string][]RouteWire{},
-		Profiles: map[string]map[string]*profile.DayProfile{},
-		Contacts: map[string][]profile.Encounter{},
-	}
 }
 
 // apply is the single mutation path: live Store calls and crash-recovery
@@ -251,11 +212,6 @@ func (d *dataState) apply(rec *walRecord) error {
 		ux.putDay(rec.Profile)
 	case opAddContacts:
 		d.contacts[rec.UserID] = append(d.contacts[rec.UserID], rec.Encounters...)
-	case opLoadShard:
-		if rec.Data == nil {
-			return fmt.Errorf("cloud: load_shard record without payload")
-		}
-		d.install(rec.Data)
 	case opSyncUser:
 		// Wholesale replacement of one user (cluster resync/handoff). Only
 		// this user's entries change; the rest of the shard — which may be
@@ -331,6 +287,8 @@ func (d *dataState) Apply(b []byte) error {
 	return d.apply(&rec)
 }
 
+// Snapshot encodes the whole state in one json.Marshal: the reference the
+// streamed SnapshotView encoder (snapview.go) must match byte for byte.
 func (d *dataState) Snapshot() ([]byte, error) {
 	return json.Marshal(dataSnapshot{
 		Places:   d.places,
@@ -338,15 +296,6 @@ func (d *dataState) Snapshot() ([]byte, error) {
 		Profiles: d.profiles,
 		Contacts: d.contacts,
 	})
-}
-
-func (d *dataState) Restore(b []byte) error {
-	var snap dataSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return fmt.Errorf("cloud: decode data snapshot: %w", err)
-	}
-	d.install(&snap)
-	return nil
 }
 
 // clonePlace deep-copies one place, detaching every slice.

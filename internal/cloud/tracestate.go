@@ -95,27 +95,12 @@ type traceSnapshot struct {
 	Users map[string][]trace.GSMObservation `json:"users"`
 }
 
+// Snapshot encodes the whole state in one json.Marshal: the reference the
+// streamed SnapshotView encoder (snapview.go) must match byte for byte.
 func (t *traceState) Snapshot() ([]byte, error) {
 	snap := traceSnapshot{Users: make(map[string][]trace.GSMObservation, len(t.users))}
 	for id, u := range t.users {
 		snap.Users[id] = u.obs
 	}
 	return json.Marshal(snap)
-}
-
-func (t *traceState) Restore(b []byte) error {
-	var snap traceSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return fmt.Errorf("cloud: decode trace snapshot: %w", err)
-	}
-	fresh := newTraceState()
-	// Generations keep growing across the restore so no (user, gen) pair
-	// issued before it can collide with one issued after.
-	fresh.gens = t.gens
-	for id, obs := range snap.Users {
-		fresh.gens++
-		fresh.users[id] = &userTrace{obs: obs, hash: TraceHash(obs), gen: fresh.gens}
-	}
-	*t = *fresh
-	return nil
 }

@@ -5,14 +5,14 @@ import (
 	"fmt"
 )
 
-// Binary framing for the replication batch plane. The JSON envelope spends
-// most of its bytes (and decode CPU) on field names and base64 — a tax paid
-// per shipped record on both ends of every batch POST. Batches instead
-// travel as a version byte followed by uvarint-framed fields, the same
-// idiom as the cloud wire codec (DESIGN.md §14) and the storage WAL. The
-// receiver negotiates by Content-Type: ContentTypeReplBinary selects this
-// codec, anything else is the JSON path, so mixed-version nodes
-// interoperate. Resync and cursor traffic is rare and stays JSON.
+// Binary framing for the replication batch plane, its only wire. A JSON
+// envelope would spend most of its bytes (and decode CPU) on field names
+// and base64 — a tax paid per shipped record on both ends of every batch
+// POST. Batches instead travel as a version byte followed by uvarint-framed
+// fields, the same idiom as the cloud wire codec (DESIGN.md §14) and the
+// storage WAL. The receiver accepts only ContentTypeReplBinary and answers
+// anything else with 415. Resync, cursor, ring and handoff traffic is rare
+// and stays JSON.
 //
 // Layout:
 //
@@ -31,8 +31,7 @@ const ContentTypeReplBinary = "application/x-pmware-repl"
 
 // replWireVersion is the first byte of every binary batch. v2 added the
 // sender's ring version to the stream header (stream admission control); a
-// v1 peer's batches fail the version check and fall back through its JSON
-// retry like any mixed-version pair.
+// batch with any other version byte is refused.
 const replWireVersion = 2
 
 // EncodeBatchBinary appends the batch's binary encoding to buf (reusing its

@@ -14,21 +14,15 @@ import (
 )
 
 // Applier is what the receiver needs from the node's store: journal one
-// shipped record verbatim into the named engine and shard.
+// contiguous run of shipped records verbatim into their engines and shards,
+// grouped so each engine shard pays roughly one group-commit wait for the
+// whole run instead of one per record (with a non-zero commit linger, a
+// per-record commit costs a full linger each). An error reports the whole
+// run as unapplied even though some shards' groups may already be durable;
+// that is safe because apply errors are terminal — a poisoned shard or a
+// corrupt record — and the stream cannot continue past them anyway (the
+// primary degrades and the follower is healed by resync or replacement).
 type Applier interface {
-	ApplyShipped(engine uint8, shard int, rec []byte) error
-}
-
-// BatchApplier is an optional Applier fast path: journal one contiguous run
-// of shipped records, grouped so each engine shard pays roughly one
-// group-commit wait for the whole run instead of one per record (with a
-// non-zero commit linger, the per-record path costs a full linger each).
-// An error reports the whole run as unapplied even though some shards'
-// groups may already be durable; that is safe because batch-apply errors
-// are terminal — a poisoned shard or a corrupt record — and the stream
-// cannot continue past them anyway (the primary degrades and the follower
-// is healed by resync or replacement).
-type BatchApplier interface {
 	ApplyShippedBatch(recs []ShipRecord) error
 }
 
@@ -73,8 +67,7 @@ type streamCursor struct {
 
 // ReceiverConfig configures a node's receiver.
 type ReceiverConfig struct {
-	// Applier journals shipped records (the cloud store). If it also
-	// implements BatchApplier, runs are applied through the batch path.
+	// Applier journals shipped records (the cloud store).
 	Applier Applier
 	// Dir persists cursors and the dirty marker ("" = memory-only: every
 	// restart resyncs).
@@ -225,45 +218,23 @@ func (r *Receiver) verifyStream(from string, ringVersion uint64) error {
 	return r.cfg.VerifyStream(from, ringVersion)
 }
 
-// applyRun journals one contiguous run of records, preferring the batch
-// path (one commit wait per engine shard) over per-record applies. The
-// serial fallback reports the applied prefix on error; the batch path
-// reports zero (see BatchApplier for why that is safe).
-func (r *Receiver) applyRun(recs []ShipRecord) (applied int, errStr string) {
-	if ba, ok := r.cfg.Applier.(BatchApplier); ok {
-		if err := ba.ApplyShippedBatch(recs); err != nil {
-			return 0, fmt.Sprintf("apply batch: %v", err)
-		}
-		return len(recs), ""
-	}
-	for i, rec := range recs {
-		if err := r.cfg.Applier.ApplyShipped(rec.Engine, rec.Shard, rec.Rec); err != nil {
-			return i, fmt.Sprintf("apply record %d: %v", i, err)
-		}
-	}
-	return len(recs), ""
-}
-
-// HandleBatch is the PathReplBatch endpoint. The batch body is negotiated
-// by Content-Type: the binary framing (codec.go) on the hot path, JSON from
-// older peers.
+// HandleBatch is the PathReplBatch endpoint. The batch body must be the
+// binary framing (codec.go); any other Content-Type is answered 415 with
+// nothing applied.
 func (r *Receiver) HandleBatch(w http.ResponseWriter, req *http.Request) {
-	var b BatchRequest
-	if req.Header.Get("Content-Type") == ContentTypeReplBinary {
-		body, err := io.ReadAll(req.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Decoded records alias body, which stays reachable for as long as
-		// the engine parks them — no per-record copy.
-		dec, err := DecodeBatchBinary(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		b = *dec
-	} else if err := json.NewDecoder(req.Body).Decode(&b); err != nil {
+	if ct := req.Header.Get("Content-Type"); ct != ContentTypeReplBinary {
+		http.Error(w, fmt.Sprintf("replication batches must be %s, got %q", ContentTypeReplBinary, ct), http.StatusUnsupportedMediaType)
+		return
+	}
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// Decoded records alias body, which stays reachable for as long as the
+	// engine parks them — no per-record copy.
+	b, err := DecodeBatchBinary(body)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -287,15 +258,15 @@ func (r *Receiver) HandleBatch(w http.ResponseWriter, req *http.Request) {
 		resp.Resync = true
 		r.rejected.Inc()
 	default:
-		applied, errStr := r.applyRun(b.Records)
+		if err := r.cfg.Applier.ApplyShippedBatch(b.Records); err != nil {
+			resp.Error = fmt.Sprintf("apply batch: %v", err)
+			break
+		}
 		r.mu.Lock()
-		ss.c.Seq += uint64(applied)
+		ss.c.Seq += uint64(len(b.Records))
 		resp.Acked = ss.c.Seq
 		r.mu.Unlock()
-		r.applied.Add(uint64(applied))
-		if errStr != "" {
-			resp.Error = errStr
-		}
+		r.applied.Add(uint64(len(b.Records)))
 		// No cursor persist here: a crash discards cursors via the dirty
 		// marker regardless, so only clean close and resync re-baselines
 		// write the file.
@@ -330,9 +301,8 @@ func (r *Receiver) HandleSync(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, resp)
 		return
 	}
-	applied, errStr := r.applyRun(b.Records)
-	if errStr != "" {
-		resp.Error = fmt.Sprintf("apply sync: %s", errStr)
+	if err := r.cfg.Applier.ApplyShippedBatch(b.Records); err != nil {
+		resp.Error = fmt.Sprintf("apply sync: apply batch: %v", err)
 		writeJSON(w, resp)
 		return
 	}
@@ -340,7 +310,7 @@ func (r *Receiver) HandleSync(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
 	ss.c = c
 	r.mu.Unlock()
-	r.syncRecords.Add(uint64(applied))
+	r.syncRecords.Add(uint64(len(b.Records)))
 	if err := r.persist(b.From, c); err != nil {
 		resp.Error = fmt.Sprintf("persist cursor: %v", err)
 		writeJSON(w, resp)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -17,22 +18,13 @@ import (
 // request a restarted pre-failover primary uses to wholesale-replace its
 // promoted heir's data.
 
-// recApplier records every applied record; failAfter poisons applies past
-// the given count (-1 = never fail).
+// recApplier records every applied record and counts the runs.
 type recApplier struct {
 	recs    []ShipRecord
 	batches int
 }
 
-func (a *recApplier) ApplyShipped(engine uint8, shard int, rec []byte) error {
-	a.recs = append(a.recs, ShipRecord{Engine: engine, Shard: shard, Rec: rec})
-	return nil
-}
-
-// batchApplier additionally implements the BatchApplier fast path.
-type batchApplier struct{ recApplier }
-
-func (a *batchApplier) ApplyShippedBatch(recs []ShipRecord) error {
+func (a *recApplier) ApplyShippedBatch(recs []ShipRecord) error {
 	a.recs = append(a.recs, recs...)
 	a.batches++
 	return nil
@@ -58,8 +50,8 @@ func openTestReceiver(t *testing.T, applier Applier, verify func(string, uint64)
 
 func postBatch(t *testing.T, r *Receiver, b BatchRequest) BatchResponse {
 	t.Helper()
-	body, _ := json.Marshal(b)
-	req := httptest.NewRequest("POST", PathReplBatch, bytes.NewReader(body))
+	req := httptest.NewRequest("POST", PathReplBatch, bytes.NewReader(EncodeBatchBinary(nil, &b)))
+	req.Header.Set("Content-Type", ContentTypeReplBinary)
 	w := httptest.NewRecorder()
 	r.HandleBatch(w, req)
 	var resp BatchResponse
@@ -179,11 +171,11 @@ func TestReceiverAdmissionRejectsTakenOverSender(t *testing.T) {
 	}
 }
 
-// TestReceiverBatchApplierPath pins the batch fast path: an Applier that
-// implements BatchApplier gets one ApplyShippedBatch call per admitted run
-// (not one apply per record), and the cursor advances by the full run.
+// TestReceiverBatchApplierPath pins the apply path: the Applier gets one
+// ApplyShippedBatch call per admitted run (not one apply per record), and
+// the cursor advances by the full run.
 func TestReceiverBatchApplierPath(t *testing.T) {
-	applier := &batchApplier{}
+	applier := &recApplier{}
 	r, _ := openTestReceiver(t, applier, nil)
 
 	if resp := postSync(t, r, SyncRequest{
@@ -204,5 +196,51 @@ func TestReceiverBatchApplierPath(t *testing.T) {
 	}
 	if len(applier.recs) != 8 {
 		t.Fatalf("applied %d records, want 8", len(applier.recs))
+	}
+}
+
+// TestReceiverRefusesJSONBatch pins the single batch wire: a batch sent as
+// JSON (or with no Content-Type) is answered 415 before anything is
+// decoded, applies zero records and leaves the stream cursor where it was.
+func TestReceiverRefusesJSONBatch(t *testing.T) {
+	applier := &recApplier{}
+	r, reg := openTestReceiver(t, applier, nil)
+	if resp := postSync(t, r, SyncRequest{
+		From: "A", Epoch: 1, Baseline: 0,
+		DataShards: 2, TraceShards: 1, Records: testRecords(3),
+	}); !resp.OK {
+		t.Fatalf("resync: %+v", resp)
+	}
+	applied := len(applier.recs)
+
+	b := BatchRequest{
+		From: "A", Epoch: 1, Start: 1,
+		DataShards: 2, TraceShards: 1, Records: testRecords(4),
+	}
+	body, _ := json.Marshal(b)
+	for _, ct := range []string{"application/json", ""} {
+		req := httptest.NewRequest("POST", PathReplBatch, bytes.NewReader(body))
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		w := httptest.NewRecorder()
+		r.HandleBatch(w, req)
+		if w.Code != http.StatusUnsupportedMediaType {
+			t.Fatalf("Content-Type %q: status %d, want 415", ct, w.Code)
+		}
+	}
+	if len(applier.recs) != applied || applier.batches != 1 {
+		t.Fatalf("JSON batch applied %d records in %d extra runs", len(applier.recs)-applied, applier.batches-1)
+	}
+	if e, s := r.Cursor("A"); e != 1 || s != 0 {
+		t.Fatalf("JSON batch moved cursor to %d/%d, want 1/0", e, s)
+	}
+	if got := reg.Counter("pci_repl_applied_records_total").Value(); got != 0 {
+		t.Fatalf("applied counter = %d, want 0", got)
+	}
+
+	// The same batch in the binary framing is admitted at the unmoved cursor.
+	if resp := postBatch(t, r, b); resp.Error != "" || resp.Acked != 4 {
+		t.Fatalf("binary batch after refused JSON: %+v", resp)
 	}
 }

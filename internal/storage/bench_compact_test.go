@@ -17,9 +17,10 @@ import (
 )
 
 // The compact-pause benchmark for ISSUE 10: on a 50k-record shard, the
-// write-lock pause of a compaction must improve ≥10x when the state provides
-// a SnapshotViewer (capture a cheap copy-on-write view under the lock, encode
-// off it) versus the legacy path (full JSON encode under the lock). The state
+// write-lock pause of a compaction must improve ≥10x when the state's
+// SnapshotView captures a cheap copy-on-write view under the lock and encodes
+// off it, versus a baseline SnapshotView that does the full JSON encode under
+// the lock (what compaction did before the off-lock protocol). The state
 // mirrors the production dataState shape — a top-level map keyed by user whose
 // values are per-user record sets — because that is what makes the view
 // capture O(users) instead of O(records): cloning map headers is cheap, the
@@ -32,8 +33,8 @@ type benchRec struct {
 	P string `json:"p"`
 }
 
-// benchUserKV is the legacy-path state: per-user record sets with no snapshot
-// view, so compaction encodes the whole map under the shard lock.
+// benchUserKV is the baseline state: per-user record sets whose SnapshotView
+// encodes the whole map eagerly, i.e. under the shard lock.
 type benchUserKV struct {
 	m map[string][]string
 }
@@ -58,20 +59,34 @@ func (s *benchUserKV) Apply(raw []byte) error {
 	return nil
 }
 
-func (s *benchUserKV) Snapshot() ([]byte, error) { return json.Marshal(s.m) }
+func (s *benchUserKV) SnapshotView() (func(io.Writer) error, func(), error) {
+	payload, err := json.Marshal(s.m)
+	if err != nil {
+		return nil, nil, err
+	}
+	encode := func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	}
+	return encode, func() {}, nil
+}
 
-func (s *benchUserKV) Restore(snap []byte) error {
+func (s *benchUserKV) RestoreStream(r io.Reader) error {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
 	m := map[string][]string{}
-	if err := json.Unmarshal(snap, &m); err != nil {
+	if err := json.Unmarshal(b, &m); err != nil {
 		return err
 	}
 	s.m = m
 	return nil
 }
 
-// benchCowKV adds the off-lock extension: SnapshotView clones only the
-// top-level map (slice values are never mutated in place, see set), and the
-// expensive Marshal runs in the returned encoder, off the shard lock.
+// benchCowKV is the off-lock state: SnapshotView clones only the top-level
+// map (slice values are never mutated in place, see set), and the expensive
+// Marshal runs in the returned encoder, off the shard lock.
 type benchCowKV struct {
 	benchUserKV
 }
@@ -89,14 +104,6 @@ func (s *benchCowKV) SnapshotView() (func(io.Writer) error, func(), error) {
 		return err
 	}
 	return encode, func() {}, nil
-}
-
-func (s *benchCowKV) RestoreStream(r io.Reader) error {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return s.Restore(b)
 }
 
 // pauseStats summarizes exact per-compaction pause samples (microseconds).
@@ -190,7 +197,7 @@ func measureCompactPauses(t *testing.T, dir string, state ShardState, users, rec
 // in place so existing sections survive). Skipped in normal runs —
 // measurement is not a correctness gate — but when run it enforces the
 // ISSUE 10 floor: compact-pause p99 improves ≥10x on a 50k-record shard when
-// the state provides a snapshot view.
+// the state's snapshot view is copy-on-write instead of an eager encode.
 func TestCompactPauseBenchRecord(t *testing.T) {
 	out := os.Getenv("STORAGE_BENCH_OUT")
 	if out == "" {
@@ -240,7 +247,7 @@ func TestCompactPauseBenchRecord(t *testing.T) {
 		Go:       runtime.Version(),
 		Command:  "STORAGE_BENCH_OUT=BENCH_storage.json go test ./internal/storage -run TestCompactPauseBenchRecord -v",
 		Note: "Write-lock pause per compaction (exact histogram-sum deltas around each Compact), " +
-			"legacy state (whole-map JSON encode under the lock) vs SnapshotViewer state " +
+			"legacy state (whole-map JSON encode under the lock) vs copy-on-write view state " +
 			"(top-level map clone under the lock, encode off it). Both paths write, fsync, and " +
 			"rename the snapshot off the lock; the residual off-lock pause is the clone plus the " +
 			"wal-(N+1) create+dir-sync. Runs on tmpfs when available so the comparison isolates " +

@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,41 +17,23 @@ import (
 
 // ShardState is the in-memory state of one shard. The engine journals
 // mutations the owner hands it and replays them through Apply on recovery;
-// Snapshot/Restore bound replay length via compaction. Restore must be
-// all-or-nothing: on error the previous state must be intact (decode into
-// fresh structures, then install).
+// compaction bounds replay length with the two-phase snapshot protocol of
+// DESIGN.md §16.
 type ShardState interface {
 	// Apply replays one journaled record against the state.
 	Apply(rec []byte) error
-	// Snapshot encodes the full state.
-	Snapshot() ([]byte, error)
-	// Restore replaces the state with a decoded snapshot.
-	Restore(snap []byte) error
-}
-
-// SnapshotViewer is an optional ShardState extension for off-lock snapshots
-// (DESIGN.md §16). SnapshotView captures a consistent, immutable view of the
-// state cheaply — shallow clones / copy-on-write, not a full encode — and
-// returns an encoder over that view plus a release function. It is called
-// under the shard write lock and must be fast; the engine then invokes
-// encode at most once, off the lock, while writers mutate the live state on
-// the next WAL generation, and calls release exactly once when the view is
-// no longer needed (whether or not encode ran or succeeded). encode must
-// produce exactly the bytes Snapshot would have produced at capture time —
-// recovery and the cluster's byte-identical-directory equivalence depend on
-// it. States that do not implement the extension keep the legacy in-lock
-// encode path.
-type SnapshotViewer interface {
+	// SnapshotView captures a consistent, immutable view of the state cheaply
+	// — shallow clones / copy-on-write, not a full encode — and returns an
+	// encoder over that view plus a release function. It is called under the
+	// shard write lock and should be fast; the engine then invokes encode at
+	// most once, off the lock, while writers mutate the live state on the
+	// next WAL generation, and calls release exactly once when the view is no
+	// longer needed (whether or not encode ran or succeeded).
 	SnapshotView() (encode func(io.Writer) error, release func(), err error)
-}
-
-// StreamRestorer is an optional ShardState extension that decodes a snapshot
-// straight from a validated reader instead of one whole-state []byte, so
-// restoring a large shard never doubles its memory. The same all-or-nothing
-// contract as Restore applies: on error the previous state must be intact.
-// The engine fully CRC-validates the snapshot file before the first byte
-// reaches RestoreStream.
-type StreamRestorer interface {
+	// RestoreStream replaces the state with a snapshot decoded from r. The
+	// engine fully CRC-validates the snapshot file before the first byte
+	// reaches it. The restore must be all-or-nothing: on error the previous
+	// state must be intact (decode into fresh structures, then install).
 	RestoreStream(r io.Reader) error
 }
 
@@ -94,9 +74,10 @@ type Options struct {
 	// Repl, when set, receives every journaled record for shipment to a
 	// replica (see internal/cluster). Enqueue runs under the shard lock —
 	// the same critical section that fixes WAL order — so ship order per
-	// shard equals WAL order equals apply order. Records applied through
-	// ApplyShipped (i.e. records that are themselves replicas) bypass the
-	// sink: replication is one hop, never a chain.
+	// shard equals WAL order equals apply order. Records journaled through
+	// AppendShippedBatch or ApplyShipped (i.e. records that are themselves
+	// replicas, or handoff drops) bypass the sink: replication is one hop,
+	// never a chain.
 	Repl ReplSink
 }
 
@@ -173,8 +154,9 @@ type shard struct {
 	// per shard. compactCond (on mu) wakes waiters when it clears.
 	compacting  bool
 	compactCond *sync.Cond
-	// pending holds replica records journaled via AppendShipped but not yet
-	// replayed into state; materializeLocked drains it before any snapshot.
+	// pending holds replica records journaled via AppendShippedBatch but
+	// not yet replayed into state; materializeLocked drains it before any
+	// snapshot.
 	pending [][]byte
 	m       *engineMetrics
 }
@@ -339,7 +321,9 @@ func walName(seq uint64) string  { return fmt.Sprintf("wal-%016d.log", seq) }
 //  1. delete leftover *.tmp files (a crash mid-snapshot-write);
 //  2. pick the highest sequence whose snapshot is intact (CRC-validated end
 //     to end, end marker present, restorable) — or sequence 0 with no
-//     snapshot on a fresh shard;
+//     snapshot, which is only sound when genesis wal-0 is still on disk (or
+//     the shard is fresh); otherwise the history older than the oldest WAL
+//     is gone and Open fails rather than boot on a partial state;
 //  3. restore it and replay the contiguous WAL chain wal-<seq>,
 //     wal-<seq+1>, ... in order, truncating a torn final tail — a crash
 //     during an off-lock snapshot persist leaves the retained wal-<N> plus
@@ -374,26 +358,34 @@ func openShard(dir string, state ShardState, opts Options, m *engineMetrics) (*s
 	}
 	sort.Slice(snapSeqs, func(i, j int) bool { return snapSeqs[i] > snapSeqs[j] })
 
+	onDisk := make(map[uint64]bool, len(walSeqs))
+	for _, s := range walSeqs {
+		onDisk[s] = true
+	}
+
 	var base uint64
+	var snapErr error // why the newest snapshot could not be used
 	restored := false
 	for _, s := range snapSeqs {
 		if err := restoreSnapshotFile(filepath.Join(dir, snapName(s)), state); err != nil {
+			if snapErr == nil {
+				snapErr = fmt.Errorf("%s: %w", snapName(s), err)
+			}
 			continue // corrupt, truncated, or unrestorable: fall back
 		}
 		base, restored = s, true
 		break
 	}
-	if !restored {
-		// Fresh shard (or no usable snapshot): start the chain at the oldest
-		// WAL on disk — by construction wal-N is only created after
-		// snapshot-N is durable, so with no snapshot the oldest WAL is
-		// genesis history.
-		base = 0
-		for i, s := range walSeqs {
-			if i == 0 || s < base {
-				base = s
-			}
+	if !restored && (len(snapSeqs) > 0 || len(walSeqs) > 0) && !onDisk[0] {
+		// With no usable snapshot the chain must start at genesis. Generations
+		// below base are deleted only after snapshot-<base> is durable (and
+		// wal-(N+1) is created before snapshot-(N+1) is), so a missing wal-0
+		// means a snapshot once covered history that no longer exists on
+		// disk: replaying the later logs alone would silently drop it.
+		if snapErr == nil {
+			snapErr = fmt.Errorf("no snapshot")
 		}
+		return nil, fmt.Errorf("%s: no usable snapshot (%v) and genesis %s is gone; refusing to recover a partial history", dir, snapErr, walName(0))
 	}
 
 	if m == nil {
@@ -406,10 +398,6 @@ func openShard(dir string, state ShardState, opts Options, m *engineMetrics) (*s
 	// absent (fresh shard); any later gap ends the chain. A torn non-final
 	// log means the suffix the later logs extend was lost, so the chain
 	// stops there too — replay always yields a prefix-consistent state.
-	onDisk := make(map[uint64]bool, len(walSeqs))
-	for _, s := range walSeqs {
-		onDisk[s] = true
-	}
 	seq := base
 	for k := base; ; k++ {
 		if k > base && !onDisk[k] {
@@ -465,35 +453,6 @@ func parseSeq(name, prefix, suffix string) (uint64, error) {
 	return seq, nil
 }
 
-// readSnapshotFile validates and unwraps a CRC-framed snapshot.
-func readSnapshotFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < frameHeaderSize {
-		return nil, fmt.Errorf("storage: snapshot too short")
-	}
-	ln := binary.LittleEndian.Uint32(data[0:4])
-	crc := binary.LittleEndian.Uint32(data[4:8])
-	if int(ln) != len(data)-frameHeaderSize {
-		return nil, fmt.Errorf("storage: snapshot length mismatch")
-	}
-	payload := data[frameHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, fmt.Errorf("storage: snapshot checksum mismatch")
-	}
-	return payload, nil
-}
-
-func frameSnapshot(payload []byte) []byte {
-	out := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[frameHeaderSize:], payload)
-	return out
-}
-
 // NumShards reports the shard count.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
@@ -515,12 +474,11 @@ func (e *Engine) Mutate(i int, apply func() ([]byte, error)) error {
 	return e.mutate(i, apply, true)
 }
 
-// ApplyShipped journals one replicated record on shard i verbatim: the
-// record bytes another node's engine produced are applied through the
-// shard state's replay path and appended to this engine's WAL unchanged,
-// which is what makes a caught-up follower's on-disk shards byte-identical
-// to the primary's. Shipped records are not re-enqueued on the replication
-// sink — replication is a single hop.
+// ApplyShipped journals one record on shard i verbatim and applies it
+// eagerly through the shard state's replay path, without enqueueing it on the
+// replication sink. Cluster handoff drops use it: the dropped users must
+// vanish from memory before the handoff acks, and the drop must not ship to a
+// follower that may be the users' new primary.
 func (e *Engine) ApplyShipped(i int, rec []byte) error {
 	return e.mutate(i, func() ([]byte, error) {
 		if err := e.shards[i].state.Apply(rec); err != nil {
@@ -530,58 +488,30 @@ func (e *Engine) ApplyShipped(i int, rec []byte) error {
 	}, false)
 }
 
-// AppendShipped journals one replicated record on shard i without replaying
-// it into the in-memory state: what a follower owes the primary at ack time
-// is durability, and deferring the replay drops most of the CPU a replica
-// spends per record. Parked records are drained through the state's replay
-// path before the next snapshot (compaction or close) and on Materialize —
-// promotion calls the latter before serving reads over replicated users.
-// The resulting WAL bytes and snapshots are identical to the eager
-// ApplyShipped path: WAL order is append order either way, and shipped
-// records only touch users the sending primary owns — disjoint from this
-// node's locally-written keys — so the deferred replay commutes with local
-// mutations. In memory-only mode there is no WAL to defer behind, so the
-// record is applied eagerly.
-func (e *Engine) AppendShipped(i int, rec []byte) error {
-	s := e.shards[i]
-	s.mu.Lock()
-	if err := s.sticky(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.w == nil {
-		err := s.state.Apply(rec)
-		s.mu.Unlock()
-		return err
-	}
-	req, leader, err := s.c.enqueue(rec)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.pending = append(s.pending, rec)
-	s.since++
-	compact := e.opts.CompactEvery > 0 && s.since >= e.opts.CompactEvery
-	s.mu.Unlock()
-
-	if err := s.c.commitWait(req, leader); err != nil {
-		return err
-	}
-	if compact {
-		e.compactIfDue(i)
-	}
-	return nil
-}
-
-// AppendShippedBatch journals a run of replicated records on shard i with
-// one group-commit wait for the whole run: every record is enqueued on the
-// committer under a single shard-lock hold (so WAL order is the run's
-// order), and only then does the caller park on the commit signals — the
-// first enqueue's leader drains the entire run into as few fsync batches
-// as CommitMaxBatch allows, instead of each record paying its own commit
-// cycle (and, with a non-zero CommitLinger, its own full linger). The
-// durability contract is AppendShipped's: when the call returns nil, every
-// record in the run is in the WAL under the engine's fsync policy.
+// AppendShippedBatch journals a run of replicated records on shard i
+// verbatim, without replaying them into the in-memory state: what a follower
+// owes the primary at ack time is durability, and deferring the replay drops
+// most of the CPU a replica spends per record. The record bytes another
+// node's engine produced are appended to this engine's WAL unchanged, which
+// is what makes a caught-up follower's on-disk shards byte-identical to the
+// primary's; they are not re-enqueued on the replication sink — replication
+// is a single hop.
+//
+// Every record is enqueued on the committer under a single shard-lock hold
+// (so WAL order is the run's order), and only then does the caller park on
+// the commit signals — the first enqueue's leader drains the entire run into
+// as few fsync batches as CommitMaxBatch allows, instead of each record
+// paying its own commit cycle (and, with a non-zero CommitLinger, its own
+// full linger). When the call returns nil, every record in the run is in the
+// WAL under the engine's fsync policy.
+//
+// Parked records are drained through the state's replay path before the
+// next snapshot (compaction or close) and on Materialize — promotion calls
+// the latter before serving reads over replicated users. Shipped records
+// only touch users the sending primary owns — disjoint from this node's
+// locally-written keys — so the deferred replay commutes with local
+// mutations. In memory-only mode there is no WAL to defer behind, so the run
+// is applied eagerly.
 func (e *Engine) AppendShippedBatch(i int, recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
@@ -640,7 +570,7 @@ func (e *Engine) AppendShippedBatch(i int, recs [][]byte) error {
 	return nil
 }
 
-// Materialize replays shard i's parked replica records (see AppendShipped)
+// Materialize replays shard i's parked replica records (see AppendShippedBatch)
 // into the in-memory state.
 func (e *Engine) Materialize(i int) error {
 	s := e.shards[i]
@@ -793,10 +723,8 @@ func (e *Engine) View(i int, read func()) {
 // truncated one (recovery falls back to snapshot-<base> and replays the
 // chain wal-<base> .. wal-(N+1)); openShard's sweep finishes the cleanup.
 //
-// For states implementing SnapshotViewer the encoder works over a captured
-// immutable view and the lock-held pause is O(1) in shard size; legacy
-// states encode under the lock as before (the pause metric then includes the
-// encode).
+// The encoder works over the state's captured immutable view, so the
+// lock-held pause is the view capture, not the encode.
 func (e *Engine) compactShard(s *shard) error {
 	pauseStart := time.Now()
 	if err := s.c.drain(); err != nil {
@@ -811,25 +739,10 @@ func (e *Engine) compactShard(s *shard) error {
 		s.mu.Unlock()
 		return err
 	}
-	var encode func(io.Writer) error
-	release := func() {}
-	if v, ok := s.state.(SnapshotViewer); ok {
-		enc, rel, err := v.SnapshotView()
-		if err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("storage: capture snapshot view: %w", err)
-		}
-		encode, release = enc, rel
-	} else {
-		payload, err := s.state.Snapshot()
-		if err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("storage: encode snapshot: %w", err)
-		}
-		encode = func(w io.Writer) error {
-			_, err := w.Write(payload)
-			return err
-		}
+	encode, release, err := s.state.SnapshotView()
+	if err != nil {
+		s.mu.Unlock()
+		return fmt.Errorf("storage: capture snapshot view: %w", err)
 	}
 	next := s.seq + 1
 	w, err := createWAL(filepath.Join(s.dir, walName(next)), s.w.policy, s.w.every, s.m)

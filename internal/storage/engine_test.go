@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +14,10 @@ import (
 )
 
 // kvState is the reference ShardState for engine tests: a string map whose
-// records are "key\x00value" pairs and whose snapshot is JSON.
+// records are "key\x00value" pairs and whose snapshot is JSON. SnapshotView
+// captures the encoding eagerly (cheap at test scale), so the returned
+// encoder is a pure function of the state at capture time — exactly the
+// contract the engine relies on.
 type kvState struct {
 	m map[string]string
 }
@@ -29,15 +35,33 @@ func (s *kvState) Apply(rec []byte) error {
 	return nil
 }
 
-func (s *kvState) Snapshot() ([]byte, error) { return json.Marshal(s.m) }
+func (s *kvState) SnapshotView() (func(io.Writer) error, func(), error) {
+	return kvEncoder(s.m), func() {}, nil
+}
 
-func (s *kvState) Restore(snap []byte) error {
+func (s *kvState) RestoreStream(r io.Reader) error {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
 	fresh := map[string]string{}
-	if err := json.Unmarshal(snap, &fresh); err != nil {
+	if err := json.Unmarshal(b, &fresh); err != nil {
 		return err
 	}
 	s.m = fresh
 	return nil
+}
+
+// kvEncoder returns a snapshot encoder over m as it is now.
+func kvEncoder(m map[string]string) func(io.Writer) error {
+	payload, err := json.Marshal(m)
+	return func(w io.Writer) error {
+		if err != nil {
+			return err
+		}
+		_, err := w.Write(payload)
+		return err
+	}
 }
 
 // set journals one key through the engine.
@@ -169,8 +193,8 @@ func TestEngineRecoveryAfterPartialCompaction(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(shardDir, walName(0)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	staleSnap := frameSnapshot([]byte(`{"stale":"yes"}`))
-	if err := os.WriteFile(filepath.Join(shardDir, snapName(0)), staleSnap, 0o644); err != nil {
+	staleSnap := kvEncoder(map[string]string{"stale": "yes"})
+	if _, err := writeSnapshotFile(filepath.Join(shardDir, snapName(0)), staleSnap); err != nil {
 		t.Fatal(err)
 	}
 	// And a leftover temp file from a torn snapshot write.
@@ -212,11 +236,8 @@ func TestEngineCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Resurrect generation 1 (snapshot a=1 + wal with b=2) as the fallback.
-	snap1, err := (&kvState{m: map[string]string{"a": "1"}}).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(shardDir, snapName(1)), frameSnapshot(snap1), 0o644); err != nil {
+	snap1 := kvEncoder(map[string]string{"a": "1"})
+	if _, err := writeSnapshotFile(filepath.Join(shardDir, snapName(1)), snap1); err != nil {
 		t.Fatal(err)
 	}
 	w, err := createWAL(filepath.Join(shardDir, walName(1)), SyncAlways, DefaultSyncEvery, nil)
@@ -234,6 +255,59 @@ func TestEngineCorruptSnapshotFallsBack(t *testing.T) {
 	e2.View(0, func() { a, b = kvs2[0].m["a"], kvs2[0].m["b"] })
 	if a != "1" || b != "2" {
 		t.Fatalf("fallback recovery: a=%q b=%q, want 1/2", a, b)
+	}
+}
+
+// TestEngineUnusableSnapshotFailsOpen: when no snapshot restores and the
+// genesis wal-0 is gone, the history the snapshot covered exists nowhere
+// else. Recovery must refuse to open rather than replay the later logs alone
+// and boot on a partial state that silently drops acknowledged writes. A
+// snapshot in the retired single-frame layout is unusable the same way.
+func TestEngineUnusableSnapshotFailsOpen(t *testing.T) {
+	v1Frame := func(payload []byte) []byte {
+		out := make([]byte, 8, 8+len(payload))
+		binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
+		return append(out, payload...)
+	}
+	for _, tc := range []struct {
+		name string
+		snap []byte
+	}{
+		{"garbage", []byte("garbage")},
+		{"v1-single-frame", v1Frame([]byte(`{"a":"1"}`))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, kvs := openKV(t, dir, 1, Options{Sync: SyncAlways, CompactEvery: -1})
+			kvSet(t, e, 0, kvs[0], "a", "1")
+			if err := e.Compact(0); err != nil { // snapshot-1 holds a=1; wal-0 retired
+				t.Fatal(err)
+			}
+			kvSet(t, e, 0, kvs[0], "b", "2") // lives in wal-1
+			// Hard kill: no Close, so no further compaction.
+			e.shards[0].w.Close()
+
+			shardDir := filepath.Join(dir, "shard-000")
+			if err := os.WriteFile(filepath.Join(shardDir, snapName(1)), tc.snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			states := []ShardState{newKV()}
+			e2, err := Open(Options{Dir: dir, Sync: SyncAlways}, states)
+			if err == nil {
+				e2.Close()
+				t.Fatalf("Open recovered %v from a directory whose a=1 exists only in the unusable snapshot", states[0].(*kvState).m)
+			}
+			for _, want := range []string{"shard 0", snapName(1)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+			// The directory is left as found for an operator to inspect.
+			if _, err := os.Stat(filepath.Join(shardDir, walName(1))); err != nil {
+				t.Errorf("failed Open disturbed wal-1: %v", err)
+			}
+		})
 	}
 }
 

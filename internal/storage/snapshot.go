@@ -10,7 +10,7 @@ import (
 	"os"
 )
 
-// Chunked snapshot layout (v2, DESIGN.md §16):
+// Chunked snapshot layout (DESIGN.md §16):
 //
 //	| magic "PMSNAP02" | chunk* | end marker |
 //	chunk:      | u32 payload length (>0) | u32 CRC32-IEEE(payload) | payload |
@@ -20,10 +20,8 @@ import (
 // straight into chunk frames, so neither writer nor reader ever holds the
 // whole shard as one []byte; the explicit end marker distinguishes "complete
 // snapshot" from "crash truncated the file mid-write", which the off-lock
-// compaction protocol depends on. Files that do not start with the magic are
-// read as the legacy v1 single-frame layout (u32 len | u32 crc | payload) so
-// stores written before this format — and tests that craft v1 files — still
-// open.
+// compaction protocol depends on. A file that does not start with the magic
+// is not a snapshot this engine wrote and is refused.
 const snapMagic = "PMSNAP02"
 
 // snapChunkSize is the encoder's target chunk payload size. Large enough to
@@ -101,7 +99,7 @@ func (sw *snapshotWriter) finish() error {
 	return err
 }
 
-// writeSnapshotFile streams encode's output into path as a chunked v2
+// writeSnapshotFile streams encode's output into path as a chunked
 // snapshot, via temp file + fsync + rename + directory fsync, so a crash at
 // any point leaves either no snapshot-<N+1> or a complete one — and a crash
 // after the rename but before the directory fsync leaves a file that recovery
@@ -144,7 +142,7 @@ func writeSnapshotFile(path string, encode func(io.Writer) error) (int64, error)
 	return sw.payload, nil
 }
 
-// snapChunkScanner iterates the chunk frames of a v2 snapshot, verifying
+// snapChunkScanner iterates the chunk frames of a snapshot, verifying
 // each CRC. next returns (payload, false, nil) per chunk, (nil, true, nil)
 // at a valid end marker, and an error on any torn or corrupt frame. The
 // returned payload aliases an internal buffer reused by the next call.
@@ -191,9 +189,9 @@ func (sc *snapChunkScanner) next() (payload []byte, end bool, err error) {
 	return sc.buf, false, nil
 }
 
-// validateSnapV2 scans every chunk of an already-magic-matched v2 snapshot
+// validateSnapshot scans every chunk of an already-magic-matched snapshot
 // stream, requiring intact CRCs and a terminal end marker.
-func validateSnapV2(r io.Reader) error {
+func validateSnapshot(r io.Reader) error {
 	sc := newSnapChunkScanner(r)
 	for {
 		_, end, err := sc.next()
@@ -206,7 +204,7 @@ func validateSnapV2(r io.Reader) error {
 	}
 }
 
-// snapPayloadReader exposes a validated v2 stream's chunk payloads as one
+// snapPayloadReader exposes a validated snapshot stream's chunk payloads as one
 // contiguous io.Reader for streaming decoders.
 type snapPayloadReader struct {
 	sc   *snapChunkScanner
@@ -240,12 +238,11 @@ func (pr *snapPayloadReader) Read(p []byte) (int, error) {
 }
 
 // restoreSnapshotFile validates the snapshot at path and loads it into
-// state: a v2 file is CRC-scanned end to end (end marker required) before a
-// byte reaches the state, preserving Restore's all-or-nothing contract, then
-// streamed through RestoreStream when the state supports it; a legacy v1
-// file goes through the whole-payload path. Any framing damage — truncation
-// at any byte offset, bit rot, a missing end marker — is an error, so
-// openShard falls back to an older generation.
+// state: the file is CRC-scanned end to end (end marker required) before a
+// byte reaches the state, preserving RestoreStream's all-or-nothing
+// contract, then streamed through RestoreStream. Any framing damage — a
+// missing magic, truncation at any byte offset, bit rot, a missing end
+// marker — is an error, so openShard falls back to an older generation.
 func restoreSnapshotFile(path string, state ShardState) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -253,19 +250,11 @@ func restoreSnapshotFile(path string, state ShardState) error {
 	}
 	defer f.Close()
 	magic := make([]byte, len(snapMagic))
-	if n, err := io.ReadFull(f, magic); err != nil || !bytes.Equal(magic, []byte(snapMagic)) {
-		// Legacy v1 single-frame snapshot (or a file too short to matter —
-		// the v1 reader rejects those). n covers the short-read case where
-		// err is ErrUnexpectedEOF.
-		_ = n
-		payload, err := readSnapshotFile(path)
-		if err != nil {
-			return err
-		}
-		return restorePayload(state, payload)
+	if _, err := io.ReadFull(f, magic); err != nil || !bytes.Equal(magic, []byte(snapMagic)) {
+		return fmt.Errorf("storage: snapshot lacks the %s magic", snapMagic)
 	}
 	// Pass 1: validate framing without touching the state.
-	if err := validateSnapV2(f); err != nil {
+	if err := validateSnapshot(f); err != nil {
 		return err
 	}
 	if _, err := f.Seek(int64(len(snapMagic)), io.SeekStart); err != nil {
@@ -274,19 +263,5 @@ func restoreSnapshotFile(path string, state ShardState) error {
 	// Pass 2: decode. The file was just validated, but the reader still
 	// re-checks CRCs — a concurrent modification or short read should fail,
 	// not feed garbage to the decoder.
-	if sr, ok := state.(StreamRestorer); ok {
-		return sr.RestoreStream(&snapPayloadReader{sc: newSnapChunkScanner(f)})
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(&snapPayloadReader{sc: newSnapChunkScanner(f)}); err != nil {
-		return err
-	}
-	return state.Restore(buf.Bytes())
-}
-
-func restorePayload(state ShardState, payload []byte) error {
-	if sr, ok := state.(StreamRestorer); ok {
-		return sr.RestoreStream(bytes.NewReader(payload))
-	}
-	return state.Restore(payload)
+	return state.RestoreStream(&snapPayloadReader{sc: newSnapChunkScanner(f)})
 }

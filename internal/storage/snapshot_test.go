@@ -14,41 +14,10 @@ import (
 	"repro/internal/obs"
 )
 
-// viewerKV is kvState plus the off-lock snapshot extensions: the reference
-// state for the two-phase compaction paths. SnapshotView captures the
-// encoding eagerly (cheap at test scale), so the returned encoder is a pure
-// function of the state at capture time — exactly the contract the engine
-// relies on.
-type viewerKV struct {
-	kvState
-}
-
-func newViewerKV() *viewerKV { return &viewerKV{kvState{m: map[string]string{}}} }
-
-func (s *viewerKV) SnapshotView() (func(io.Writer) error, func(), error) {
-	payload, err := json.Marshal(s.m)
-	if err != nil {
-		return nil, nil, err
-	}
-	encode := func(w io.Writer) error {
-		_, err := w.Write(payload)
-		return err
-	}
-	return encode, func() {}, nil
-}
-
-func (s *viewerKV) RestoreStream(r io.Reader) error {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return s.Restore(b)
-}
-
 // gatedKV additionally blocks its encoder until the test releases it, which
 // freezes a compaction in its off-lock persist phase.
 type gatedKV struct {
-	viewerKV
+	kvState
 	entered  chan struct{} // closed when the encoder first runs
 	release  chan struct{} // encoder blocks until this closes
 	enterOne sync.Once     // Close may compact (and encode) again later
@@ -56,22 +25,18 @@ type gatedKV struct {
 
 func newGatedKV() *gatedKV {
 	return &gatedKV{
-		viewerKV: viewerKV{kvState{m: map[string]string{}}},
-		entered:  make(chan struct{}),
-		release:  make(chan struct{}),
+		kvState: kvState{m: map[string]string{}},
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
 	}
 }
 
 func (s *gatedKV) SnapshotView() (func(io.Writer) error, func(), error) {
-	payload, err := json.Marshal(s.m)
-	if err != nil {
-		return nil, nil, err
-	}
+	inner := kvEncoder(s.m)
 	encode := func(w io.Writer) error {
 		s.enterOne.Do(func() { close(s.entered) })
 		<-s.release
-		_, err := w.Write(payload)
-		return err
+		return inner(w)
 	}
 	return encode, func() {}, nil
 }
@@ -103,13 +68,7 @@ func TestChunkedSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("payload bytes = %d, want %d", n, len(payload))
 	}
 
-	// Restore through the streaming path and the legacy []byte path.
-	for _, state := range []ShardState{newViewerKV(), newKV()} {
-		if err := restoreSnapshotFile(path, state); err != nil {
-			t.Fatalf("%T restore: %v", state, err)
-		}
-	}
-	st := newViewerKV()
+	st := newKV()
 	if err := restoreSnapshotFile(path, st); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +98,7 @@ func TestChunkedSnapshotRejectsDamage(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := restoreSnapshotFile(path, newViewerKV()); err == nil {
+		if err := restoreSnapshotFile(path, newKV()); err == nil {
 			t.Fatalf("truncation at %d/%d bytes restored without error", cut, len(full))
 		}
 	}
@@ -150,7 +109,7 @@ func TestChunkedSnapshotRejectsDamage(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := restoreSnapshotFile(path, newViewerKV()); err == nil {
+	if err := restoreSnapshotFile(path, newKV()); err == nil {
 		t.Fatal("corrupt chunk restored without error")
 	}
 
@@ -158,31 +117,8 @@ func TestChunkedSnapshotRejectsDamage(t *testing.T) {
 	if err := os.WriteFile(path, append(append([]byte(nil), full...), 0xFF), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := restoreSnapshotFile(path, newViewerKV()); err == nil {
+	if err := restoreSnapshotFile(path, newKV()); err == nil {
 		t.Fatal("trailing garbage restored without error")
-	}
-}
-
-func TestSnapshotLegacyV1Read(t *testing.T) {
-	// Data directories written before the chunked layout hold single-frame
-	// snapshots; restoreSnapshotFile must keep reading them.
-	dir := t.TempDir()
-	path := filepath.Join(dir, snapName(3))
-	payload, _ := json.Marshal(map[string]string{"old": "gen"})
-	if err := os.WriteFile(path, frameSnapshot(payload), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, state := range []ShardState{newKV(), newViewerKV()} {
-		if err := restoreSnapshotFile(path, state); err != nil {
-			t.Fatalf("%T: %v", state, err)
-		}
-	}
-	st := newViewerKV()
-	if err := restoreSnapshotFile(path, st); err != nil {
-		t.Fatal(err)
-	}
-	if st.m["old"] != "gen" {
-		t.Fatal("legacy snapshot payload lost")
 	}
 }
 
@@ -211,7 +147,7 @@ func copyDir(t *testing.T, src string) string {
 
 func openShardDirKV(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	st := newViewerKV()
+	st := newKV()
 	sh, err := openShard(dir, st, Options{Sync: SyncNever, SyncEvery: DefaultSyncEvery}, newEngineMetrics(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +239,7 @@ func TestOffLockCompactionCrashProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// And the clean post-compaction layout recovers too.
-	re := newViewerKV()
+	re := newKV()
 	e2, err := Open(Options{Dir: dir, Sync: SyncAlways}, []ShardState{re})
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +256,7 @@ func TestOffLockCompactionCrashProperty(t *testing.T) {
 // the byte-identical serialized expectation.
 func TestWritersRacingCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st := newViewerKV()
+	st := newKV()
 	e, err := Open(Options{Dir: dir, Sync: SyncNever, CompactEvery: -1}, []ShardState{st})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +305,7 @@ func TestWritersRacingCompaction(t *testing.T) {
 			want[fmt.Sprintf("w%d-%04d", wkr, i)] = "v"
 		}
 	}
-	re := newViewerKV()
+	re := newKV()
 	e2, err := Open(Options{Dir: dir, Sync: SyncNever}, []ShardState{re})
 	if err != nil {
 		t.Fatal(err)
@@ -383,8 +319,7 @@ func TestWritersRacingCompaction(t *testing.T) {
 }
 
 // TestParallelOpenEquivalence pins the worker-pool recovery to the serial
-// baseline: same directory, same recovered state, for both a viewer and a
-// legacy state, at several worker counts.
+// baseline: same directory, same recovered state, at several worker counts.
 func TestParallelOpenEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	const shards = 5
@@ -491,7 +426,7 @@ func TestParallelOpenFirstErrorWins(t *testing.T) {
 func TestOffLockMetricsDeltas(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	st := newViewerKV()
+	st := newKV()
 	e, err := Open(Options{Dir: dir, Sync: SyncNever, CompactEvery: -1, Metrics: reg}, []ShardState{st})
 	if err != nil {
 		t.Fatal(err)
