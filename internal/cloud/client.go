@@ -12,7 +12,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -70,12 +69,8 @@ type Client struct {
 	traceLen  int64
 	traceHash uint64
 
-	// wire is the preferred request/response encoding; jsonOnly latches true
-	// the first time a peer answers 415 to a binary request, downgrading
-	// this client to JSON for its lifetime (the peer predates the codec —
-	// asking again next call would just burn a round-trip every time).
-	wire     WireCodec
-	jsonOnly atomic.Bool
+	// wire is the request/response encoding the client speaks.
+	wire WireCodec
 
 	// router, when set (WithCluster), routes each call by the consistent-hash
 	// ring instead of baseURL and drives failover across nodes.
@@ -89,8 +84,9 @@ const (
 	// WireJSON is the historical reflective-JSON wire — the default, and
 	// what every peer understands.
 	WireJSON WireCodec = iota
-	// WireBinary negotiates application/x-pmware-bin (DESIGN.md §14),
-	// falling back to JSON transparently against peers without the codec.
+	// WireBinary speaks application/x-pmware-bin (DESIGN.md §14) on every
+	// route with a binary encoding and JSON on the rest. The server must
+	// have the codec: a 415 is a terminal error like any other 4xx.
 	WireBinary
 )
 
@@ -116,16 +112,6 @@ func ParseWireCodec(s string) (WireCodec, error) {
 // WithWireCodec sets the preferred wire encoding.
 func WithWireCodec(wc WireCodec) ClientOption {
 	return func(c *Client) { c.wire = wc }
-}
-
-// useBinary reports whether the next request should speak binary.
-func (c *Client) useBinary() bool { return c.wire == WireBinary && !c.jsonOnly.Load() }
-
-// fallbackToJSON latches the sticky JSON downgrade after a 415.
-func (c *Client) fallbackToJSON() {
-	if !c.jsonOnly.Swap(true) {
-		c.m.wireFallbacks.Inc()
-	}
 }
 
 // ClientOption customizes a Client.
@@ -259,48 +245,56 @@ func StatusCode(err error) (status int, ok bool) {
 	return 0, false
 }
 
-// call performs one request under the retry policy. withAuth attaches the
-// bearer token; idempotent enables automatic retry on transient errors. The
-// request body is marshalled once (binary when the active wire codec has an
-// encoding for it, JSON otherwise) and replayed per attempt. A binary call
-// rejected 415 — a peer without the codec — downgrades the client to JSON
-// and replays the whole call.
+// bodyWriter is a request body that write produces afresh on every attempt,
+// streamed through a pipe so its serialized form is never held whole.
+type bodyWriter struct {
+	contentType string
+	write       func(io.Writer) error
+}
+
+// request is what one attempt builds its HTTP request from. A call builds it
+// once and every attempt of the call, the 421 replay included, reuses it.
+type request struct {
+	method, path string
+	query        url.Values
+	contentType  string
+	payload      []byte                // buffered body, replayed as-is
+	write        func(io.Writer) error // streaming body, rewritten per attempt
+	accept       string
+	lastEventID  string
+	auth         bool
+}
+
+// call performs one request under the retry policy, routed by the cluster
+// ring under WithCluster. body is nil, a bodyWriter, or a value marshalled
+// once (binary when the wire codec has an encoding for it, JSON otherwise).
+// withAuth attaches the bearer token; idempotent enables automatic retry on
+// transient errors.
 func (c *Client) call(ctx context.Context, method, path string, query url.Values, body, into any, withAuth, idempotent bool) error {
-	var rt *routeSession
-	if c.router != nil {
-		rt = c.router.begin()
-	}
-	urlFor := func() string {
-		base := c.baseURL
-		if rt != nil {
-			base = rt.current()
-		}
-		u := base + path
-		if len(query) > 0 {
-			u += "?" + query.Encode()
-		}
-		return u
-	}
-	useBin := false
-	var payload []byte
-	marshal := func() error {
-		useBin, payload = false, nil
-		if body == nil {
-			return nil
-		}
-		if c.useBinary() {
+	rq := &request{method: method, path: path, query: query, auth: withAuth}
+	switch b := body.(type) {
+	case nil:
+	case bodyWriter:
+		rq.contentType, rq.write = b.contentType, b.write
+	default:
+		if c.wire == WireBinary {
 			if data, ok := appendWire(nil, body); ok {
-				useBin, payload = true, data
-				return nil
+				rq.contentType, rq.payload = ContentTypeBinary, data
+				break
 			}
 		}
 		data, err := json.Marshal(body)
 		if err != nil {
 			return fmt.Errorf("marshal request: %w", err)
 		}
-		payload = data
-		return nil
+		rq.contentType, rq.payload = "application/json", data
 	}
+	if into != nil && c.wire == WireBinary && wireDecodable(into) {
+		// Offer binary but accept JSON: decode reads the answer by the
+		// response's own Content-Type.
+		rq.accept = ContentTypeBinary + ", application/json;q=0.5"
+	}
+	rt := c.route()
 	run := func() error {
 		attempt := 0
 		return c.retry.withSleepObserver(c.m.observeBackoff).run(ctx, idempotent, func(ctx context.Context) error {
@@ -308,68 +302,74 @@ func (c *Client) call(ctx context.Context, method, path string, query url.Values
 			if attempt > 1 {
 				c.m.retries.Inc()
 			}
-			err := c.doOnce(ctx, method, urlFor(), payload, useBin, into, withAuth)
-			if err != nil && rt != nil {
+			resp, err := c.send(ctx, rt.current(), rq)
+			if err == nil {
+				err = c.decode(resp, into)
+				drainClose(resp)
+			}
+			if err != nil {
 				rt.observe(err)
 			}
 			return err
 		})
 	}
-	if err := marshal(); err != nil {
-		return err
-	}
 	err := run()
-	if useBin {
-		var se *statusError
-		if errors.As(err, &se) && se.Status == http.StatusUnsupportedMediaType {
-			c.fallbackToJSON()
-			if merr := marshal(); merr != nil {
-				return merr
-			}
-			err = run()
-		}
-	}
-	if rt != nil {
-		// A 421 is answered before the request touches any state, so one
-		// whole-call replay on the owner the router just adopted is always
-		// safe — including for non-idempotent calls and for retry policies
-		// whose attempt budget was already spent inside run().
-		var se *statusError
-		if errors.As(err, &se) && se.Status == http.StatusMisdirectedRequest {
-			err = run()
-		}
+	// A 421 is answered before the request touches any state (and only to a
+	// ring-routed request), so one whole-call replay on the owner the router
+	// just adopted is always safe — including for non-idempotent calls and
+	// for retry policies whose attempt budget was already spent inside run().
+	var se *statusError
+	if errors.As(err, &se) && se.Status == http.StatusMisdirectedRequest {
+		err = run()
 	}
 	return err
 }
 
-// doOnce performs a single HTTP attempt.
-func (c *Client) doOnce(ctx context.Context, method, u string, payload []byte, binaryReq bool, into any, withAuth bool) error {
-	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
+// send is the client's one HTTP attempt: it builds rq's request against
+// base, stamps the routing key, bearer token and Accept, and counts the
+// attempt. A 2xx response is returned for the caller to consume and close;
+// any other answer comes back as a *statusError with the body drained.
+func (c *Client) send(ctx context.Context, base string, rq *request) (*http.Response, error) {
+	var tok string
+	if rq.auth {
+		if tok, _ = c.snapshotToken(); tok == "" {
+			return nil, &statusError{Status: http.StatusUnauthorized, Msg: "no token (register first)"}
+		}
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	u := base + rq.path
+	if len(rq.query) > 0 {
+		u += "?" + rq.query.Encode()
+	}
+	var body io.Reader
+	var pw *io.PipeWriter
+	switch {
+	case rq.payload != nil:
+		body = bytes.NewReader(rq.payload)
+	case rq.write != nil:
+		// A fresh pipe per attempt: the body hits the wire as it is written
+		// (chunked transfer, no Content-Length). The transport closes the
+		// read side once the exchange ends, which unblocks the writer.
+		var pr *io.PipeReader
+		pr, pw = io.Pipe()
+		body = pr
+	}
+	req, err := http.NewRequestWithContext(ctx, rq.method, u, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if payload != nil {
-		if binaryReq {
-			req.Header.Set("Content-Type", ContentTypeBinary)
-		} else {
-			req.Header.Set("Content-Type", "application/json")
-		}
+	if pw != nil {
+		go func() { pw.CloseWithError(rq.write(&wireCountWriter{w: pw, m: c.m.wireSentBytes})) }()
 	}
-	if into != nil && c.useBinary() && wireDecodable(into) {
-		// Offer binary but accept JSON: a peer without the codec ignores the
-		// preference and answers JSON, which finishResponse decodes by the
-		// response's own Content-Type — the fallback costs nothing.
-		req.Header.Set("Accept", ContentTypeBinary+", application/json;q=0.5")
+	if body != nil {
+		req.Header.Set("Content-Type", rq.contentType)
 	}
-	if withAuth {
-		tok, _ := c.snapshotToken()
-		if tok == "" {
-			return &statusError{Status: http.StatusUnauthorized, Msg: "no token (register first)"}
-		}
+	if rq.accept != "" {
+		req.Header.Set("Accept", rq.accept)
+	}
+	if rq.lastEventID != "" {
+		req.Header.Set("Last-Event-ID", rq.lastEventID)
+	}
+	if tok != "" {
 		req.Header.Set("Authorization", "Bearer "+tok)
 	}
 	if c.router != nil {
@@ -379,50 +379,49 @@ func (c *Client) doOnce(ctx context.Context, method, u string, payload []byte, b
 	resp, err := c.http.Do(req)
 	if err != nil {
 		c.m.connErrors.Inc()
-		return err
+		return nil, err
 	}
-	c.m.wireSentBytes.Add(uint64(len(payload)))
-	defer func() {
-		// Drain any leftover body (bounded) before close so the keep-alive
-		// connection is reusable by the next attempt.
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
-		resp.Body.Close()
-	}()
-	return c.finishResponse(resp, into)
+	c.m.wireSentBytes.Add(uint64(len(rq.payload)))
+	if resp.StatusCode/100 == 2 {
+		return resp, nil
+	}
+	defer drainClose(resp)
+	switch {
+	case resp.StatusCode >= 500:
+		c.m.http5xx.Inc()
+	case resp.StatusCode >= 400:
+		c.m.http4xx.Inc()
+	}
+	var e ErrorResponse
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
+	c.m.wireRecvBytes.Add(uint64(len(data)))
+	if jerr := json.Unmarshal(data, &e); jerr != nil || e.Error == "" {
+		e.Error = strconv.Quote(truncateForError(data))
+	}
+	se := &statusError{Status: resp.StatusCode, Msg: e.Error}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
+			se.RetryAfter = time.Duration(secs) * time.Second
+		}
+	}
+	if resp.StatusCode == http.StatusMisdirectedRequest {
+		se.Owner = resp.Header.Get(cluster.HeaderOwner)
+	}
+	return nil, se
 }
 
-// finishResponse classifies one HTTP response and, for 2xx, decodes the body
-// into `into` by the RESPONSE's Content-Type — the server only answers
-// binary when the request offered it, and a JSON answer to a
-// binary-accepting request is the compatibility fallback working, not an
-// error. Every body byte read is counted into
-// client_wire_bytes_received_total. Shared by the buffered, streaming-ingest
-// and streaming-discover paths.
-func (c *Client) finishResponse(resp *http.Response, into any) error {
-	if resp.StatusCode/100 != 2 {
-		switch {
-		case resp.StatusCode >= 500:
-			c.m.http5xx.Inc()
-		case resp.StatusCode >= 400:
-			c.m.http4xx.Inc()
-		}
-		var e ErrorResponse
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
-		c.m.wireRecvBytes.Add(uint64(len(data)))
-		if jerr := json.Unmarshal(data, &e); jerr != nil || e.Error == "" {
-			e.Error = strconv.Quote(truncateForError(data))
-		}
-		se := &statusError{Status: resp.StatusCode, Msg: e.Error}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		if resp.StatusCode == http.StatusMisdirectedRequest {
-			se.Owner = resp.Header.Get(cluster.HeaderOwner)
-		}
-		return se
-	}
+// drainClose drains any leftover body (bounded) before close so the
+// keep-alive connection is reusable by the next attempt.
+func drainClose(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+	resp.Body.Close()
+}
+
+// decode reads a 2xx body into `into` by the RESPONSE's Content-Type: the
+// server answers binary only where the request offered it and the route has
+// a binary encoding. Every body byte read is counted into
+// client_wire_bytes_received_total.
+func (c *Client) decode(resp *http.Response, into any) error {
 	if into == nil {
 		return nil
 	}
@@ -456,9 +455,8 @@ func (c *Client) finishResponse(resp *http.Response, into any) error {
 	return nil
 }
 
-// wireCountReader counts response bytes as the JSON decoder pulls them
-// (subscribe.go's countingReader serves the SSE path; this one feeds the
-// wire byte counters).
+// wireCountReader counts body bytes as a reader pulls them: the JSON decoder
+// feeds the wire byte counters from it, a subscription its health signal.
 type wireCountReader struct {
 	r io.Reader
 	n uint64
@@ -550,9 +548,6 @@ func (c *Client) DiscoverPlacesContext(ctx context.Context, obs []trace.GSMObser
 		}
 	}
 	if !delta {
-		// On the binary wire the full-history fallback streams its frames
-		// through a pipe (chunked transfer), so neither side ever buffers
-		// the serialized form of the whole trace.
 		err = c.discoverCall(ctx, &DiscoverPlacesRequest{Observations: obs}, &resp)
 	}
 	if err != nil {
@@ -566,19 +561,15 @@ func (c *Client) DiscoverPlacesContext(ctx context.Context, obs []trace.GSMObser
 	return places, nil
 }
 
-// discoverCall routes one discover upload: framed binary streaming when the
-// binary wire is active (with the one-time JSON downgrade if the peer
-// answers 415), the buffered JSON call otherwise.
+// discoverCall sends one discover upload. On the binary wire the request
+// streams its frames through a pipe (chunked transfer), so neither side ever
+// buffers the serialized form of the whole trace.
 func (c *Client) discoverCall(ctx context.Context, req *DiscoverPlacesRequest, out *DiscoverPlacesResponse) error {
-	if c.useBinary() {
-		err := c.discoverBinary(ctx, req, out)
-		var se *statusError
-		if !errors.As(err, &se) || se.Status != http.StatusUnsupportedMediaType {
-			return err
-		}
-		c.fallbackToJSON()
+	var body any = req
+	if c.wire == WireBinary {
+		body = bodyWriter{contentType: ContentTypeBinary, write: func(w io.Writer) error { return writeDiscoverFrames(w, req) }}
 	}
-	return c.authedCall(ctx, http.MethodPost, PathPlacesDiscover, nil, req, out, true)
+	return c.authedCall(ctx, http.MethodPost, PathPlacesDiscover, nil, body, out, true)
 }
 
 // traceCursor decides whether obs can be uploaded as a delta: the stored

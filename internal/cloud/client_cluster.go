@@ -28,8 +28,9 @@ type clusterRouter struct {
 }
 
 // WithCluster makes the client cluster-aware: targets are the node base URLs
-// (any order; the ring is fetched from whichever answers first). The
-// client's base URL argument is ignored for routed calls.
+// (any order; the ring is fetched from whichever answers first). Every call,
+// stream and subscription is then ring-routed and the client's base URL
+// argument is unused.
 func WithCluster(targets []string) ClientOption {
 	return func(c *Client) {
 		if len(targets) == 0 {
@@ -111,6 +112,15 @@ func (r *clusterRouter) clearSticky(u string) {
 	r.mu.Unlock()
 }
 
+// route opens one call's routing session: a walk over the ring-ordered
+// candidates under WithCluster, the base URL alone otherwise.
+func (c *Client) route() *routeSession {
+	if c.router == nil {
+		return &routeSession{cands: []string{c.baseURL}}
+	}
+	return c.router.begin()
+}
+
 // begin opens one call's routing session.
 func (r *clusterRouter) begin() *routeSession {
 	r.mu.Lock()
@@ -124,7 +134,7 @@ func (r *clusterRouter) begin() *routeSession {
 
 // routeSession is one call's walk over the candidate list: each retry
 // attempt asks current() for its base URL, and observe() repositions after
-// a failure.
+// a failure. Without a router (r nil) the walk is the base URL alone.
 type routeSession struct {
 	r     *clusterRouter
 	cands []string
@@ -132,9 +142,6 @@ type routeSession struct {
 }
 
 func (s *routeSession) current() string {
-	if len(s.cands) == 0 {
-		return s.r.peers[0]
-	}
 	return s.cands[s.cur%len(s.cands)]
 }
 
@@ -144,6 +151,9 @@ func (s *routeSession) current() string {
 // candidate. Protocol rejections (4xx) stay on the current node — they are
 // the caller's problem, not a routing one.
 func (s *routeSession) observe(err error) {
+	if s.r == nil {
+		return
+	}
 	var se *statusError
 	if errors.As(err, &se) {
 		switch {

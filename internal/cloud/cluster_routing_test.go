@@ -3,6 +3,7 @@ package cloud
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/events"
 	"repro/internal/faultnet"
 	"repro/internal/obs"
 )
@@ -302,5 +304,124 @@ func TestClusterFailoverMetricsPinned(t *testing.T) {
 	}
 	if shipped == 0 || shipped != applied {
 		t.Fatalf("repl accounting: shipped %d != applied %d", shipped, applied)
+	}
+}
+
+// ringlessTransport refuses the ring endpoint, so the client router never
+// learns the ring and walks its targets in the order given.
+type ringlessTransport struct{}
+
+func (ringlessTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == cluster.PathRing {
+		return nil, errors.New("ring endpoint unreachable")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClusterRoutesStreamsAndSubscriptions pins that streams, discover and
+// subscriptions ride the same routed, authenticated attempt as every other
+// call, on both codecs. The client's base URL and first target is a node
+// that neither owns the user nor follows its owner, and the client has no
+// ring, so each operation lands there first: it must follow the 421 to the
+// owner (one client redirect, one misrouted count on that node) instead of
+// being served — and rejected 401 — by a node that never issued its token.
+func TestClusterRoutesStreamsAndSubscriptions(t *testing.T) {
+	nodes := startChaosCluster(t, 3)
+	for _, wc := range []WireCodec{WireJSON, WireBinary} {
+		t.Run(wc.String(), func(t *testing.T) {
+			imei, email := "route-stream-"+wc.String(), "route-stream@example.com"
+			uid := StableUserID(imei, email)
+			ring := nodes[0].cn.Ring()
+			owner := clusterNodeByID(t, nodes, ring.PrimaryID(uid))
+			followerID, _ := ring.FollowerID(owner.id)
+			follower := clusterNodeByID(t, nodes, followerID)
+			var third *chaosNode
+			for _, n := range nodes {
+				if n != owner && n != follower {
+					third = n
+				}
+			}
+			creg := obs.NewRegistry()
+			c := NewClient(third.url, imei, email, &http.Client{Transport: ringlessTransport{}, Timeout: 10 * time.Second},
+				WithCluster([]string{third.url, follower.url, owner.url}),
+				WithWireCodec(wc),
+				WithClientMetrics(creg),
+				WithRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
+			redirects := creg.Counter("client_cluster_redirects_total")
+			misrouted := third.reg.Counter("pci_cluster_misrouted_total")
+			// hop runs op from the non-owner, forgetting the owner an earlier
+			// redirect taught the client, and requires exactly one redirect.
+			hop := func(what string, op func() error) {
+				t.Helper()
+				c.router.adopt("")
+				r0, m0 := redirects.Value(), misrouted.Value()
+				if err := op(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if d := redirects.Value() - r0; d != 1 {
+					t.Errorf("%s: client redirects delta = %d, want 1", what, d)
+				}
+				if d := misrouted.Value() - m0; d != 1 {
+					t.Errorf("%s: non-owner misrouted delta = %d, want 1", what, d)
+				}
+			}
+
+			hop("register", c.Register)
+			var sub *Subscription
+			hop("subscribe", func() error {
+				var err error
+				if sub, err = c.Subscribe(t.Context()); err != nil {
+					return err
+				}
+				// Attached once a probe published on the owner arrives.
+				deadline := time.After(10 * time.Second)
+				for {
+					owner.srv.Hub().Publish(events.Event{Type: events.KindPlaceEntry, UserID: uid, Label: "probe"})
+					select {
+					case _, ok := <-sub.C:
+						if !ok {
+							return fmt.Errorf("subscription ended: %v", sub.Err())
+						}
+						return nil
+					case <-deadline:
+						return errors.New("no probe event")
+					case <-time.After(20 * time.Millisecond):
+					}
+				}
+			})
+			defer sub.Close()
+
+			trace := synthDays(2)
+			hop("discover", func() error {
+				_, err := c.DiscoverPlaces(trace[:obsPerSynthDay])
+				return err
+			})
+			var res StreamResult
+			hop("stream", func() error {
+				var err error
+				res, err = c.StreamObservations(t.Context(), trace, 0)
+				return err
+			})
+			if res.Appended != obsPerSynthDay || res.Events == 0 {
+				t.Fatalf("stream appended %d observations and %d events, want %d and some", res.Appended, res.Events, obsPerSynthDay)
+			}
+			if st := owner.cn.Store().TraceStatusFor(uid); st.Len != int64(len(trace)) || st.Hash != TraceHash(trace) {
+				t.Errorf("owner trace = (%d, %x), want (%d, %x)", st.Len, st.Hash, len(trace), TraceHash(trace))
+			}
+			deadline := time.After(10 * time.Second)
+			for {
+				select {
+				case ev, ok := <-sub.C:
+					if !ok {
+						t.Fatalf("subscription ended: %v", sub.Err())
+					}
+					if ev.Label != "probe" && ev.UserID == uid {
+						return
+					}
+				case <-deadline:
+					t.Fatal("subscriber never saw the stream's place event")
+				}
+			}
+		})
 	}
 }

@@ -2,10 +2,8 @@ package cloud
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -80,10 +78,12 @@ func (s *Subscription) Err() error {
 // user's place events (GET /api/v1/events/subscribe) and keeps it open:
 // dropped connections reconnect under the client's retry policy, resuming
 // from the last delivered sequence number via Last-Event-ID so no event is
-// missed or duplicated across the gap. A 401 mid-subscription recovers the
-// token exactly like every other authenticated call. The subscription ends
-// only when ctx is cancelled, Close is called, or consecutive reconnect
-// attempts exhaust the retry budget without a single delivered frame.
+// missed or duplicated across the gap. Each connection is routed, stamped
+// and classified like every other call's attempt, and a 401
+// mid-subscription recovers the token exactly like every other
+// authenticated call. The subscription ends only when ctx is cancelled,
+// Close is called, or consecutive reconnect attempts exhaust the retry
+// budget without a single delivered frame.
 func (c *Client) Subscribe(ctx context.Context, opts ...SubscribeOption) (*Subscription, error) {
 	cfg := subscribeConfig{buffer: 64}
 	for _, opt := range opts {
@@ -108,10 +108,13 @@ func (c *Client) Subscribe(ctx context.Context, opts ...SubscribeOption) (*Subsc
 // schedule and resets whenever a connection proves healthy, so a long-lived
 // subscription survives any number of transient faults while a hard-down
 // server still exhausts the policy's attempt budget and surfaces an error.
+// One routing session spans the subscription: a 421 re-targets it to the
+// owner and a dead node fails over, exactly as for a call's attempts.
 func (s *Subscription) run(ctx context.Context, c *Client, cfg subscribeConfig) {
 	defer close(s.done)
 	defer close(s.ch)
 	policy := c.retry.withSleepObserver(c.m.observeBackoff)
+	rt := c.route()
 	var lastSeq uint64
 	failures := 0
 	for {
@@ -126,7 +129,7 @@ func (s *Subscription) run(ctx context.Context, c *Client, cfg subscribeConfig) 
 				return
 			}
 		}
-		delivered, err := s.attempt(ctx, c, cfg, &lastSeq)
+		delivered, err := s.attempt(ctx, c, rt, cfg, &lastSeq)
 		if ctx.Err() != nil {
 			s.err = nil
 			return
@@ -147,9 +150,9 @@ func (s *Subscription) run(ctx context.Context, c *Client, cfg subscribeConfig) 
 					s.err = fmt.Errorf("cloud: subscribe: token recovery: %w", rerr)
 					return
 				}
-			case se.Status/100 == 4 && se.Status != http.StatusTooManyRequests:
-				// Protocol rejection (bad granularity, hub shut down answers
-				// 503 and is retried): reconnecting cannot help.
+			case !retryable(se):
+				// Protocol rejection (bad granularity): reconnecting cannot
+				// help. 421, 429 and 5xx (a shut-down hub answers 503) retry.
 				s.err = fmt.Errorf("cloud: subscribe: %w", se)
 				return
 			}
@@ -157,69 +160,33 @@ func (s *Subscription) run(ctx context.Context, c *Client, cfg subscribeConfig) 
 	}
 }
 
-// countingReader flags whether any body bytes arrived — the connection
-// health signal. Heartbeat comments count: a subscription can legitimately
-// idle for hours with no events, and its eventual drop is not the server
-// being down.
-type countingReader struct {
-	r    io.Reader
-	seen bool
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.seen = true
-	}
-	return n, err
-}
-
 // attempt opens one SSE connection and pumps frames until it breaks.
 // delivered reports whether the connection yielded any body bytes (events or
 // heartbeats) — the health signal that resets the reconnect backoff.
-func (s *Subscription) attempt(ctx context.Context, c *Client, cfg subscribeConfig, lastSeq *uint64) (delivered bool, err error) {
-	u := c.baseURL + PathEventsSubscribe
+// Heartbeats count: a subscription can legitimately idle for hours with no
+// events, and its eventual drop is not the server being down.
+func (s *Subscription) attempt(ctx context.Context, c *Client, rt *routeSession, cfg subscribeConfig, lastSeq *uint64) (delivered bool, err error) {
+	rq := &request{method: http.MethodGet, path: PathEventsSubscribe, accept: "text/event-stream", auth: true}
 	if cfg.granularity != "" {
-		u += "?" + url.Values{"granularity": {cfg.granularity}}.Encode()
+		rq.query = url.Values{"granularity": {cfg.granularity}}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return false, err
-	}
-	tok, _ := c.snapshotToken()
-	req.Header.Set("Authorization", "Bearer "+tok)
-	req.Header.Set("Accept", "text/event-stream")
 	if *lastSeq > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(*lastSeq, 10))
+		rq.lastEventID = strconv.FormatUint(*lastSeq, 10)
 	}
-	c.m.attempts.Inc()
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, rt.current(), rq)
 	if err != nil {
-		c.m.connErrors.Inc()
+		rt.observe(err)
 		return false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= 500 {
-			c.m.http5xx.Inc()
-		} else if resp.StatusCode >= 400 {
-			c.m.http4xx.Inc()
-		}
-		var e ErrorResponse
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
-		if jerr := json.Unmarshal(data, &e); jerr != nil || e.Error == "" {
-			e.Error = strconv.Quote(truncateForError(data))
-		}
-		return false, &statusError{Status: resp.StatusCode, Msg: e.Error}
-	}
 
-	cr := &countingReader{r: resp.Body}
+	cr := &wireCountReader{r: resp.Body}
 	fr := events.NewFrameReader(cr)
 	for {
 		frame, ferr := fr.Next()
 		if ferr != nil {
 			// EOF included: the server went away; reconnect and resume.
-			return cr.seen, fmt.Errorf("cloud: subscribe: stream: %w", ferr)
+			return cr.n > 0, fmt.Errorf("cloud: subscribe: stream: %w", ferr)
 		}
 		var ev events.Event
 		switch frame.Event {
@@ -236,7 +203,7 @@ func (s *Subscription) attempt(ctx context.Context, c *Client, cfg subscribeConf
 		default:
 			dev, derr := frame.DecodeEvent()
 			if derr != nil {
-				return cr.seen, fmt.Errorf("cloud: subscribe: bad event frame: %w", derr)
+				return cr.n > 0, fmt.Errorf("cloud: subscribe: bad event frame: %w", derr)
 			}
 			ev = dev
 			*lastSeq = ev.Seq
@@ -249,7 +216,7 @@ func (s *Subscription) attempt(ctx context.Context, c *Client, cfg subscribeConf
 		select {
 		case s.ch <- ev:
 		case <-ctx.Done():
-			return cr.seen, ctx.Err()
+			return cr.n > 0, ctx.Err()
 		}
 	}
 }

@@ -2,9 +2,8 @@ package cloud
 
 // Tests for the binary wire codec (DESIGN.md §14): content negotiation edge
 // cases, the randomized JSON ≡ binary equivalence property, robustness
-// against truncated or foreign bodies, the sticky JSON downgrade against
-// peers that predate the codec, and end-to-end equivalence of the binary and
-// JSON clients over the three converted route families.
+// against truncated or foreign bodies, and end-to-end equivalence of the
+// binary and JSON clients over the three converted route families.
 
 import (
 	"bytes"
@@ -17,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gsm"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -351,7 +349,8 @@ func TestTruncatedBinary400(t *testing.T) {
 }
 
 // TestBinaryUpload413: the streamed binary discover path preserves the typed
-// 413 contract of the JSON path.
+// 413 contract of the JSON path, and the client keeps speaking binary after
+// it.
 func TestBinaryUpload413(t *testing.T) {
 	h := newDeltaHarness(t, nil, nil, WithMaxBodyBytes(4<<10))
 	c := h.newClient(t, "imei-bin-413", WithWireCodec(WireBinary))
@@ -359,69 +358,12 @@ func TestBinaryUpload413(t *testing.T) {
 	if !errors.Is(err, ErrRequestTooLarge) {
 		t.Fatalf("binary oversized upload: err = %v, want ErrRequestTooLarge", err)
 	}
-	if n := c.m.wireFallbacks.Value(); n != 0 {
-		t.Errorf("413 latched the JSON downgrade (fallbacks = %d); only 415 may", n)
+	before := h.server.metrics.wireBin.Value()
+	if _, err := c.DiscoverPlaces(synthDays(1)); err != nil {
+		t.Fatalf("small upload after the 413: %v", err)
 	}
-}
-
-// --- downgrade against a JSON-only peer -----------------------------------
-
-// jsonOnlyPeer emulates a server that predates the codec: binary request
-// bodies are refused with 415, and the Accept header is ignored (dropped),
-// so every response comes back JSON.
-func jsonOnlyPeer(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == ContentTypeBinary {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusUnsupportedMediaType)
-			fmt.Fprint(w, `{"error":"unsupported media type"}`)
-			return
-		}
-		r.Header.Del("Accept")
-		next.ServeHTTP(w, r)
-	})
-}
-
-// TestBinaryClientAgainstJSONOnlyPeer: a binary-preferring client meeting an
-// old peer downgrades to JSON after one 415 — transparently, stickily, and
-// counted once — and every call still succeeds.
-func TestBinaryClientAgainstJSONOnlyPeer(t *testing.T) {
-	h := newDeltaHarness(t, nil, jsonOnlyPeer)
-	c := h.newClient(t, "imei-old-peer", WithWireCodec(WireBinary))
-
-	obs := synthDays(2)
-	got, err := c.DiscoverPlaces(obs)
-	if err != nil {
-		t.Fatalf("discover against JSON-only peer: %v", err)
-	}
-	want := gsm.Discover(obs, gsm.DefaultParams()).Places
-	if g, w := canonicalWire(t, got), canonicalWire(t, want); g != w {
-		t.Errorf("places after downgrade diverge from batch GCA:\n got %s\nwant %s", g, w)
-	}
-	if n := c.m.wireFallbacks.Value(); n != 1 {
-		t.Errorf("wire fallbacks = %d, want exactly 1 (the downgrade is sticky)", n)
-	}
-
-	// Subsequent calls — including the streaming path — go straight to JSON
-	// with no further 415 round-trips.
-	res, err := c.StreamObservations(t.Context(), synthDays(3), 0)
-	if err != nil {
-		t.Fatalf("stream after downgrade: %v", err)
-	}
-	if res.Appended != obsPerSynthDay {
-		t.Errorf("stream appended %d, want %d", res.Appended, obsPerSynthDay)
-	}
-	if n := c.m.wireFallbacks.Value(); n != 1 {
-		t.Errorf("wire fallbacks after more calls = %d, want still 1", n)
-	}
-
-	// A stream-first client downgrades through the streaming path too.
-	c2 := h.newClient(t, "imei-old-peer-2", WithWireCodec(WireBinary))
-	if _, err := c2.StreamObservations(t.Context(), synthDays(1), 0); err != nil {
-		t.Fatalf("stream-first against JSON-only peer: %v", err)
-	}
-	if n := c2.m.wireFallbacks.Value(); n != 1 {
-		t.Errorf("stream-first wire fallbacks = %d, want 1", n)
+	if h.server.metrics.wireBin.Value() == before {
+		t.Error("server pci_wire_encoding_total{codec=bin} did not move after the 413")
 	}
 }
 
@@ -621,10 +563,7 @@ func TestBinaryE2EMatchesJSON(t *testing.T) {
 	}
 
 	// The whole point: the binary client moved far fewer bytes for the same
-	// workload, no downgrade fired, and the server served binary.
-	if n := cb.m.wireFallbacks.Value(); n != 0 {
-		t.Errorf("binary client fell back to JSON %d times against a binary-capable server", n)
-	}
+	// workload, and the server served binary.
 	jsonBytes := cj.m.wireSentBytes.Value() + cj.m.wireRecvBytes.Value()
 	binBytes := cb.m.wireSentBytes.Value() + cb.m.wireRecvBytes.Value()
 	if binBytes == 0 || jsonBytes == 0 {

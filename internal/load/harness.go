@@ -24,9 +24,10 @@ type RunnerConfig struct {
 	// discovery geolocation to resolve (cmd/pmware-load self-boots a
 	// matching server when no URL is given).
 	BaseURL string
-	// Targets, when set, drives a PCI cluster: every harness client becomes
-	// cluster-aware (ring-routed with 421/failover handling) over these node
-	// base URLs, and BaseURL is only the ring bootstrap fallback.
+	// Targets, when set, drives a PCI cluster: every harness client — request
+	// workers and subscribers alike — becomes cluster-aware (ring-routed
+	// with 421/failover handling) over these node base URLs, and the clients
+	// leave BaseURL unused.
 	Targets []string
 	// HTTP is the transport; it should allow at least Concurrency idle
 	// connections per host or connection churn will dominate latency.
@@ -200,9 +201,8 @@ func (r *Runner) Run() (*Report, error) {
 		r.logf("cluster: %d targets, %d failovers, %d redirects",
 			report.Measured.Cluster.Targets, report.Measured.Cluster.Failovers, report.Measured.Cluster.Redirects)
 	}
-	r.logf("wire: %s codec, %d bytes sent, %d bytes received, %d json fallbacks",
-		report.Measured.Wire.Codec, report.Measured.Wire.BytesSent,
-		report.Measured.Wire.BytesReceived, report.Measured.Wire.JSONFallbacks)
+	r.logf("wire: %s codec, %d bytes sent, %d bytes received",
+		report.Measured.Wire.Codec, report.Measured.Wire.BytesSent, report.Measured.Wire.BytesReceived)
 	if err := report.Check(); err != nil {
 		return nil, err
 	}
@@ -215,7 +215,6 @@ func (r *Runner) wireReport() *WireReport {
 		Codec:         r.wire.String(),
 		BytesSent:     r.clientReg.Counter("client_wire_bytes_sent_total").Value(),
 		BytesReceived: r.clientReg.Counter("client_wire_bytes_received_total").Value(),
-		JSONFallbacks: r.clientReg.Counter("client_wire_json_fallbacks_total").Value(),
 	}
 }
 
@@ -371,25 +370,27 @@ func (r *Runner) perform(req Request, rec *Recorder) error {
 	}()
 
 	if st.client == nil {
-		_, imei, email := UserIdentity(req.User)
-		opts := []cloud.ClientOption{
-			cloud.WithRetryPolicy(cloud.RetryPolicy{MaxAttempts: 1, PerTryTimeout: 30 * time.Second}),
-			cloud.WithWireCodec(r.wire),
-			cloud.WithClientMetrics(r.clientReg),
-		}
-		base := r.cfg.BaseURL
-		if len(r.cfg.Targets) > 0 {
-			opts = append(opts, cloud.WithCluster(r.cfg.Targets))
-			// Spread ring-less bootstrap (and any unrouted call) across nodes.
-			base = r.cfg.Targets[req.User%len(r.cfg.Targets)]
-		}
-		st.client = cloud.NewClient(base, imei, email, r.cfg.HTTP, opts...)
+		st.client = r.newClient(req.User,
+			cloud.WithRetryPolicy(cloud.RetryPolicy{MaxAttempts: 1, PerTryTimeout: 30 * time.Second}))
 	}
 
 	t0 := time.Now()
 	err := r.issue(st, u, req)
 	rec.Observe(req.Route, time.Since(t0), classify(err))
 	return nil
+}
+
+// newClient builds a simulated user's client: the run's wire codec, its
+// client metrics registry and, against a cluster, ring routing over every
+// target. Request workers and subscribers share it, so both reach the
+// user's owning node.
+func (r *Runner) newClient(user int, opts ...cloud.ClientOption) *cloud.Client {
+	_, imei, email := UserIdentity(user)
+	opts = append(opts, cloud.WithWireCodec(r.wire), cloud.WithClientMetrics(r.clientReg))
+	if len(r.cfg.Targets) > 0 {
+		opts = append(opts, cloud.WithCluster(r.cfg.Targets))
+	}
+	return cloud.NewClient(r.cfg.BaseURL, imei, email, r.cfg.HTTP, opts...)
 }
 
 // needsPayload reports whether the route uploads or queries user-specific

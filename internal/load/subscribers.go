@@ -32,8 +32,7 @@ type subscriberPool struct {
 func (r *Runner) startSubscribers(spec *SubscribersSpec) (*subscriberPool, error) {
 	p := &subscriberPool{}
 	for i := 0; i < spec.Count; i++ {
-		_, imei, email := UserIdentity(i % r.cfg.Spec.Users)
-		client := cloud.NewClient(r.cfg.BaseURL, imei, email, r.cfg.HTTP)
+		client := r.newClient(i % r.cfg.Spec.Users)
 		if err := client.Register(); err != nil {
 			p.close()
 			return nil, fmt.Errorf("load: subscriber %d register: %w", i, err)
